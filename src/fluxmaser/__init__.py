@@ -3,8 +3,9 @@
 Layers, bottom to top:
 
 - :mod:`fluxmaser.circuit` — phase-space Hamiltonian of the flux-biased loop;
-- :mod:`fluxmaser.spectrum` — eigenpairs and flux sweeps;
-- :mod:`fluxmaser.transitions` — microwave amplitudes and adiabatic control;
+- :mod:`fluxmaser.spectrum` — eigenpairs;
+- :mod:`fluxmaser.transitions` — per-point records and sweeps of microwave
+  amplitudes and adiabatic control;
 - :mod:`fluxmaser.maser` — steady-state photon statistics (two recursions);
 - :mod:`fluxmaser.lindblad` — master-equation engine and nullspace oracle;
 - :mod:`fluxmaser.device` — physical device estimates;
@@ -32,11 +33,13 @@ from .maser import (
     steady_state_atomic,
     steady_state_sqc,
 )
-from .spectrum import EigenSpectrum, SweepResult, lowest_eigenpairs, sweep_spectrum
+from .spectrum import EigenSpectrum, lowest_eigenpairs
 from .transitions import (
+    PointRecord,
     TransitionTable,
     adiabatic_k,
     adiabatic_rate_check,
+    point_record,
     pumping_feasibility,
     relative_relaxation,
     transition_element,
@@ -53,9 +56,9 @@ __all__ = [
     "circulating_current",
     "effective_alpha",
     "EigenSpectrum",
-    "SweepResult",
     "lowest_eigenpairs",
-    "sweep_spectrum",
+    "PointRecord",
+    "point_record",
     "TransitionTable",
     "transition_element",
     "transition_table",

@@ -18,21 +18,21 @@ import math
 import os
 import sys
 from dataclasses import replace
+from functools import partial
+from itertools import islice
 from multiprocessing import get_context
 
 import numpy as np
 
 from . import __version__
-from .circuit import CircuitParams, PhaseGrid, assemble_hamiltonian
+from .circuit import CircuitParams, PhaseGrid
 from .config import RunConfig, config_digest, load_config
 from .device import CavityParams, device_report, format_device_report
 from .errors import ConfigError, StabilityError
 from .lindblad import evolve as lindblad_evolve
 from .lindblad import fock_state
 from .maser import MaserConfig, steady_state_atomic, steady_state_sqc
-from .spectrum import lowest_eigenpairs
-from .transitions import adiabatic_k, transition_element
-from .errors import DegenerateGapError
+from .transitions import PointRecord, point_record
 
 WORKERS_ENV = "FLUXMASER_WORKERS"
 MAX_FAILURE_FRACTION = 0.01
@@ -73,103 +73,53 @@ def _parallel_map(func, tasks, workers: int):
         return pool.map(func, tasks, chunksize=1)
 
 
-def _f_axis(cfg: RunConfig) -> np.ndarray:
-    sweep = cfg.sweep
-    return np.linspace(sweep.f_start, sweep.f_stop, sweep.f_points)
+# spectral command -> (SweepBlock field listing its f_s values, one CSV per
+# f_s value?, CSV header, units comment); every column is a projection of the
+# point_record at (f, f_s)
+SPECTRAL = {
+    "fig2": (
+        "f_s_values",
+        True,
+        ["f", "E0", "E1", "E2", "E3", "t_01", "t_02", "t_12"],
+        "levels in E_J; amplitudes in I_c*Phi_w0",
+    ),
+    "fig3": (
+        "ramp_f_s_values",
+        False,
+        ["f", "f_s", "K_01", "K_12"],
+        "K in ns; 'crossing' marks gaps below the degeneracy floor",
+    ),
+    "sweep": (
+        "f_s_values",
+        True,
+        ["f", "f_s", "gap_01", "gap_02", "gap_12", "t_01", "t_02", "t_12", "K_01", "K_12"],
+        "gaps in E_J; amplitudes in I_c*Phi_w0; K in ns",
+    ),
+}
 
 
-def _point_spectrum(args):
-    gamma, ej_over_ec, ej_freq, n_p, n_q, sector, k, seed, f, f_s = args
-    params = CircuitParams(gamma=gamma, ej_over_ec=ej_over_ec, f=f, f_s=f_s, ej_freq=ej_freq)
-    op = assemble_hamiltonian(params, PhaseGrid(n_p=n_p, n_q=n_q), sector=sector)
-    return lowest_eigenpairs(op, k, seed=seed)
+def _columns(f: float, f_s: float, rec: PointRecord) -> dict[str, float]:
+    lv = rec.levels
+    return {
+        "f": f,
+        "f_s": f_s,
+        **{f"E{i}": lv[i] for i in range(4)},
+        "gap_01": lv[1] - lv[0],
+        "gap_02": lv[2] - lv[0],
+        "gap_12": lv[2] - lv[1],
+        "t_01": rec.t_01,
+        "t_02": rec.t_02,
+        "t_12": rec.t_12,
+        "K_01": rec.k_01,
+        "K_12": rec.k_12,
+    }
 
 
-def _fig2_point(task):
-    idx, args = task
+def _solve_point(params: CircuitParams, **solver):
     try:
-        spec = _point_spectrum(args)
-        levels = spec.levels[:4]
-        row = (
-            [args[8]]
-            + list(levels)
-            + [
-                transition_element(spec, 0, 1),
-                transition_element(spec, 0, 2),
-                transition_element(spec, 1, 2),
-            ]
-        )
-        return idx, row, None
+        return point_record(params, **solver), None
     except Exception as exc:  # worker boundary: report, do not kill the sweep
-        return idx, None, f"f={args[8]:.6g}: {type(exc).__name__}: {exc}"
-
-
-def _fig3_point(task):
-    idx, args = task
-    try:
-        spec = _point_spectrum(args)
-        out = [args[8], args[9]]
-        for pair in ((0, 1), (1, 2)):
-            try:
-                out.append(adiabatic_k(spec, *pair))
-            except DegenerateGapError:
-                out.append(math.nan)
-        return idx, out, None
-    except Exception as exc:
-        return idx, None, f"f={args[8]:.6g} f_s={args[9]:.6g}: {type(exc).__name__}: {exc}"
-
-
-def _sweep_point(task):
-    idx, args = task
-    try:
-        spec = _point_spectrum(args)
-        row = [args[8], args[9]]
-        row += [spec.gap(0, 1), spec.gap(0, 2), spec.gap(1, 2)]
-        row += [
-            transition_element(spec, 0, 1),
-            transition_element(spec, 0, 2),
-            transition_element(spec, 1, 2),
-        ]
-        for pair in ((0, 1), (1, 2)):
-            try:
-                row.append(adiabatic_k(spec, *pair))
-            except DegenerateGapError:
-                row.append(math.nan)
-        return idx, row, None
-    except Exception as exc:
-        return idx, None, f"f={args[8]:.6g} f_s={args[9]:.6g}: {type(exc).__name__}: {exc}"
-
-
-def _spectrum_args(cfg: RunConfig, f: float, f_s: float) -> tuple:
-    c = cfg.circuit
-    s = cfg.sweep
-    return (c.gamma, c.ej_over_ec, c.ej_freq, c.n_p, c.n_q, c.sector, s.k, s.seed, float(f), float(f_s))
-
-
-def _run_points(point_fn, tasks, workers, out_dir, stem, digits, comments, header, k_columns=()):
-    """Execute sweep tasks, collect rows in index order, write CSV + sidecar log."""
-    results = _parallel_map(point_fn, tasks, workers)
-    results.sort(key=lambda item: item[0])
-    failures = [msg for _, row, msg in results if row is None]
-    rows = []
-    for _, row, _msg in results:
-        if row is None:
-            continue
-        rendered = []
-        for col_name, value in zip(header, row):
-            if col_name in k_columns and math.isnan(value):
-                rendered.append("crossing")
-            else:
-                rendered.append(_fmt(value, digits))
-        rows.append(rendered)
-    csv_path = os.path.join(out_dir, f"{stem}.csv")
-    _write_csv(csv_path, comments, header, rows)
-    if failures:
-        log_path = os.path.join(out_dir, f"{stem}_failures.log")
-        with open(log_path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write("\n".join(failures) + "\n")
-        print(f"warning: {len(failures)} point(s) failed; see {log_path}", file=sys.stderr)
-    return len(failures), len(tasks)
+        return None, f"f={params.f:.6g} f_s={params.f_s:.6g}: {type(exc).__name__}: {exc}"
 
 
 def _base_comments(cfg: RunConfig, units: str) -> list[str]:
@@ -180,68 +130,54 @@ def _base_comments(cfg: RunConfig, units: str) -> list[str]:
     ]
 
 
-def cmd_fig2(cfg: RunConfig, out_dir: str, workers: int) -> int:
-    f_axis = _f_axis(cfg)
-    digits = cfg.output.digits
-    total_failed = total_points = 0
-    for f_s in cfg.sweep.f_s_values:
-        tasks = [(i, _spectrum_args(cfg, f, f_s)) for i, f in enumerate(f_axis)]
-        header = ["f", "E0", "E1", "E2", "E3", "t_01", "t_02", "t_12"]
-        comments = _base_comments(cfg, "levels in E_J; amplitudes in I_c*Phi_w0") + [
-            f"f_s: {f_s:g}"
-        ]
-        failed, count = _run_points(
-            _fig2_point, tasks, workers, out_dir, f"fig2_fs_{f_s:g}", digits, comments, header
-        )
-        total_failed += failed
-        total_points += count
-    if total_failed > MAX_FAILURE_FRACTION * total_points:
+def cmd_spectral(command: str, cfg: RunConfig, out_dir: str, workers: int) -> int:
+    """Solve every (f_s, f) point in one pool and split the rows into CSVs."""
+    f_s_field, per_f_s, header, units = SPECTRAL[command]
+    c, s = cfg.circuit, cfg.sweep
+    f_s_values = getattr(s, f_s_field)
+    f_axis = np.linspace(s.f_start, s.f_stop, s.f_points)
+    if per_f_s:
+        files = [(f"{command}_fs_{f_s:g}", [f"f_s: {f_s:g}"], [f_s]) for f_s in f_s_values]
+    else:
+        files = [(command, [], f_s_values)]
+    base = CircuitParams(gamma=c.gamma, ej_over_ec=c.ej_over_ec, ej_freq=c.ej_freq)
+    tasks = [
+        base.replace(f=float(f), f_s=float(f_s))
+        for *_, group in files
+        for f_s in group
+        for f in f_axis
+    ]
+    solve = partial(
+        _solve_point, grid=PhaseGrid(c.n_p, c.n_q), k=s.k, sector=c.sector, seed=s.seed
+    )
+    results = iter(zip(tasks, _parallel_map(solve, tasks, workers)))
+
+    failed = 0
+    for stem, extra_comments, group in files:
+        rows, failures = [], []
+        for params, (rec, error) in islice(results, len(group) * len(f_axis)):
+            if rec is None:
+                failures.append(error)
+                continue
+            values = _columns(params.f, params.f_s, rec)
+            rows.append([
+                "crossing" if name.startswith("K_") and math.isnan(values[name])
+                else _fmt(values[name], cfg.output.digits)
+                for name in header
+            ])
+        comments = _base_comments(cfg, units) + extra_comments
+        _write_csv(os.path.join(out_dir, f"{stem}.csv"), comments, header, rows)
+        if failures:
+            log_path = os.path.join(out_dir, f"{stem}_failures.log")
+            with open(log_path, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write("\n".join(failures) + "\n")
+            print(f"warning: {len(failures)} point(s) failed; see {log_path}", file=sys.stderr)
+        failed += len(failures)
+    if failed > MAX_FAILURE_FRACTION * len(tasks):
         print(
-            f"error: {total_failed}/{total_points} sweep points failed (> {MAX_FAILURE_FRACTION:.0%})",
+            f"error: {failed}/{len(tasks)} sweep points failed (> {MAX_FAILURE_FRACTION:.0%})",
             file=sys.stderr,
         )
-        return 2
-    return 0
-
-
-def cmd_fig3(cfg: RunConfig, out_dir: str, workers: int) -> int:
-    f_axis = _f_axis(cfg)
-    tasks = []
-    idx = 0
-    for f_s in cfg.sweep.ramp_f_s_values:
-        for f in f_axis:
-            tasks.append((idx, _spectrum_args(cfg, f, f_s)))
-            idx += 1
-    header = ["f", "f_s", "K_01", "K_12"]
-    comments = _base_comments(cfg, "K in ns; 'crossing' marks gaps below the degeneracy floor")
-    failed, count = _run_points(
-        _fig3_point, tasks, workers, out_dir, "fig3", cfg.output.digits, comments, header,
-        k_columns={"K_01", "K_12"},
-    )
-    if failed > MAX_FAILURE_FRACTION * count:
-        print(f"error: {failed}/{count} sweep points failed", file=sys.stderr)
-        return 2
-    return 0
-
-
-def cmd_sweep(cfg: RunConfig, out_dir: str, workers: int) -> int:
-    f_axis = _f_axis(cfg)
-    digits = cfg.output.digits
-    header = ["f", "f_s", "gap_01", "gap_02", "gap_12", "t_01", "t_02", "t_12", "K_01", "K_12"]
-    total_failed = total_points = 0
-    for f_s in cfg.sweep.f_s_values:
-        tasks = [(i, _spectrum_args(cfg, f, f_s)) for i, f in enumerate(f_axis)]
-        comments = _base_comments(cfg, "gaps in E_J; amplitudes in I_c*Phi_w0; K in ns") + [
-            f"f_s: {f_s:g}"
-        ]
-        failed, count = _run_points(
-            _sweep_point, tasks, workers, out_dir, f"sweep_fs_{f_s:g}", digits, comments, header,
-            k_columns={"K_01", "K_12"},
-        )
-        total_failed += failed
-        total_points += count
-    if total_failed > MAX_FAILURE_FRACTION * total_points:
-        print(f"error: {total_failed}/{total_points} sweep points failed", file=sys.stderr)
         return 2
     return 0
 
@@ -396,18 +332,14 @@ def main(argv: list[str] | None = None) -> int:
         workers = _resolve_workers(args.workers, cfg)
         out_dir = args.out
         os.makedirs(out_dir, exist_ok=True)
-        if args.command == "fig2":
-            return cmd_fig2(cfg, out_dir, workers)
-        if args.command == "fig3":
-            return cmd_fig3(cfg, out_dir, workers)
+        if args.command in SPECTRAL:
+            return cmd_spectral(args.command, cfg, out_dir, workers)
         if args.command == "fig4":
             return cmd_fig4(cfg, out_dir)
         if args.command == "evolve":
             return cmd_evolve(cfg, out_dir)
         if args.command == "estimate-device":
             return cmd_estimate_device(cfg, out_dir)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, out_dir, workers)
         raise ConfigError(f"unknown command {args.command!r}")
     except StabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, fields
 import yaml
 
 from .errors import ConfigError
+from .spectrum import MAX_K
 
 __all__ = [
     "CircuitBlock",
@@ -37,6 +38,10 @@ class CircuitBlock:
     n_q: int = 161
     sector: str = "even"
 
+    def __post_init__(self) -> None:
+        if self.sector not in ("even", "odd"):
+            raise ValueError(f"sector must be 'even' or 'odd', got {self.sector!r}")
+
 
 @dataclass(frozen=True)
 class SweepBlock:
@@ -47,6 +52,13 @@ class SweepBlock:
     ramp_f_s_values: tuple[float, ...] = (0.15, 0.22, 0.27)
     k: int = 6
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.f_points < 1:
+            raise ValueError(f"f_points must be >= 1, got {self.f_points}")
+        # fig2 writes levels E0..E3, and the eigensolver returns at most MAX_K
+        if not 4 <= self.k <= MAX_K:
+            raise ValueError(f"k must be between 4 and {MAX_K}, got {self.k}")
 
 
 @dataclass(frozen=True)
@@ -86,7 +98,6 @@ class CavityBlock:
 class OutputBlock:
     digits: int = 12
     workers: int | None = None
-    cache_dir: str | None = None
 
 
 @dataclass(frozen=True)
@@ -182,7 +193,12 @@ def load_config(path: str | None = None) -> RunConfig:
 
 
 def config_digest(cfg: RunConfig) -> str:
-    """Stable content hash of a resolved configuration."""
+    """Stable content hash of a resolved configuration.
+
+    The worker count only decides how the work is spread, not what is
+    computed, so it is left out: outputs stay byte-identical whichever way
+    it is set.
+    """
     import hashlib
     import json
 
@@ -195,5 +211,6 @@ def config_digest(cfg: RunConfig) -> str:
             return repr(obj)
         return obj
 
-    payload = json.dumps(canon(cfg), sort_keys=True)
+    content = dataclasses.replace(cfg, output=dataclasses.replace(cfg.output, workers=None))
+    payload = json.dumps(canon(content), sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]

@@ -1,4 +1,4 @@
-"""Eigenpairs and flux sweeps of the circuit Hamiltonian.
+"""Eigenpairs of the circuit Hamiltonian.
 
 Dense LAPACK diagonalization is used up to operator dimension 4096; larger
 problems go through shift-invert Lanczos with a deterministically seeded
@@ -7,26 +7,16 @@ start vector, so repeated calls give bit-identical results.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
-from .circuit import (
-    CircuitParams,
-    HamiltonianOperator,
-    PhaseGrid,
-    assemble_hamiltonian,
-    circulating_current,
-)
+from .circuit import CircuitParams, HamiltonianOperator, PhaseGrid, circulating_current
 from .errors import ConvergenceError
 
-__all__ = ["EigenSpectrum", "SweepResult", "lowest_eigenpairs", "sweep_spectrum"]
+__all__ = ["EigenSpectrum", "lowest_eigenpairs"]
 
 DENSE_LIMIT = 4096
 MAX_K = 8
@@ -161,109 +151,4 @@ def lowest_eigenpairs(
         phi_q_axis=op.phi_q_axis,
         weight=op.weight,
         method=method,
-    )
-
-
-@dataclass
-class SweepResult:
-    """Energy levels along a flux sweep at fixed ``f_s``."""
-
-    f_values: np.ndarray
-    levels: np.ndarray
-    params: CircuitParams
-    grid: PhaseGrid
-    representation: str
-    sector: str | None
-    k: int
-    max_residual: float
-    from_cache: bool = False
-
-
-def _sweep_cache_key(
-    params: CircuitParams,
-    grid: PhaseGrid,
-    f_values: np.ndarray,
-    k: int,
-    representation: str,
-    sector: str | None,
-    seed: int,
-) -> str:
-    meta = {
-        "gamma": repr(params.gamma),
-        "ej_over_ec": repr(params.ej_over_ec),
-        "f_s": repr(params.f_s),
-        "ej_freq": repr(params.ej_freq),
-        "n_p": grid.n_p,
-        "n_q": grid.n_q,
-        "k": k,
-        "representation": representation,
-        "sector": sector,
-        "seed": seed,
-    }
-    digest = hashlib.sha256()
-    digest.update(json.dumps(meta, sort_keys=True).encode())
-    digest.update(f_values.astype(np.float64).tobytes())
-    return digest.hexdigest()[:24]
-
-
-def sweep_spectrum(
-    params: CircuitParams,
-    grid: PhaseGrid,
-    f_values,
-    k: int = 4,
-    *,
-    representation: str = "sector",
-    sector: str = "even",
-    seed: int = 0,
-    cache_dir: str | None = None,
-) -> SweepResult:
-    """Levels vs applied flux ``f`` with everything else held fixed.
-
-    Deterministic: the same inputs produce identical levels.  If
-    ``cache_dir`` is given, results are memoized on disk under a key derived
-    from all inputs, and reloads round-trip bit-exactly.
-    """
-    f_values = np.asarray(f_values, dtype=np.float64)
-    cache_path = None
-    if cache_dir is not None:
-        key = _sweep_cache_key(params, grid, f_values, k, representation, sector, seed)
-        cache_path = os.path.join(cache_dir, f"sweep_{key}.npz")
-        if os.path.exists(cache_path):
-            with np.load(cache_path) as payload:
-                if np.array_equal(payload["f_values"], f_values):
-                    return SweepResult(
-                        f_values=payload["f_values"],
-                        levels=payload["levels"],
-                        params=params,
-                        grid=grid,
-                        representation=representation,
-                        sector=sector,
-                        k=k,
-                        max_residual=float(payload["max_residual"]),
-                        from_cache=True,
-                    )
-
-    levels = np.empty((f_values.size, k))
-    worst = 0.0
-    for i, f in enumerate(f_values):
-        op = assemble_hamiltonian(
-            params.replace(f=float(f)), grid, representation=representation, sector=sector
-        )
-        spec = lowest_eigenpairs(op, k, seed=seed, resolve_degeneracies=False)
-        levels[i] = spec.levels
-        worst = max(worst, float(spec.residuals.max()))
-
-    if cache_path is not None:
-        os.makedirs(cache_dir, exist_ok=True)
-        np.savez(cache_path, f_values=f_values, levels=levels, max_residual=worst)
-
-    return SweepResult(
-        f_values=f_values,
-        levels=levels,
-        params=params,
-        grid=grid,
-        representation=representation,
-        sector=sector,
-        k=k,
-        max_residual=worst,
     )

@@ -19,7 +19,9 @@ from .errors import DegenerateGapError
 from .spectrum import EigenSpectrum, lowest_eigenpairs
 
 __all__ = [
+    "PointRecord",
     "TransitionTable",
+    "point_record",
     "transition_element",
     "adiabatic_k",
     "transition_table",
@@ -67,27 +69,77 @@ def adiabatic_k(spec: EigenSpectrum, i: int, j: int, *, degeneracy_floor: float 
     return float(element / gap**2 / params.ej_freq)
 
 
+@dataclass(frozen=True)
+class PointRecord:
+    """Working-level figures of merit at one solved ``(f, f_s)`` point.
+
+    ``levels`` holds the ``k`` lowest levels in E_J; ``t_ij`` are transition
+    amplitudes and ``k_ij`` ramp coefficients in ns, NaN where the pair is
+    closer than the degeneracy floor (a crossing).
+    """
+
+    levels: np.ndarray
+    t_01: float
+    t_02: float
+    t_12: float
+    k_01: float
+    k_12: float
+
+
+def point_record(
+    params: CircuitParams,
+    grid: PhaseGrid,
+    *,
+    k: int = 6,
+    sector: str = "even",
+    seed: int = 0,
+) -> PointRecord:
+    """Solve one flux point and read off its levels, amplitudes and ramps.
+
+    This is the single per-point producer behind every spectral table.  Six
+    levels are solved by default so that near-degenerate clusters around the
+    half-flux crossings are fully contained and can be consistently rotated
+    before amplitudes are read off.
+    """
+    if k < 3:
+        raise ValueError(f"k must be at least 3 to cover levels 0..2, got {k}")
+    spec = lowest_eigenpairs(assemble_hamiltonian(params, grid, sector=sector), k, seed=seed)
+    ramps = []
+    for i, j in ((0, 1), (1, 2)):
+        try:
+            ramps.append(adiabatic_k(spec, i, j))
+        except DegenerateGapError:
+            ramps.append(math.nan)
+    return PointRecord(
+        levels=spec.levels,
+        t_01=transition_element(spec, 0, 1),
+        t_02=transition_element(spec, 0, 2),
+        t_12=transition_element(spec, 1, 2),
+        k_01=ramps[0],
+        k_12=ramps[1],
+    )
+
+
 @dataclass
 class TransitionTable:
-    """Transition amplitudes, gaps and adiabaticity along a flux sweep.
+    """Levels, transition amplitudes and adiabaticity along a flux sweep.
 
-    ``k_01``/``k_12`` hold NaN where the corresponding pair is closer than
-    the degeneracy floor; the matching ``crossing_*`` mask records it.
+    Row ``n`` is the :class:`PointRecord` at ``f_values[n]``; ``levels`` is
+    ``(n, k)`` and ``k_01``/``k_12`` hold NaN at crossings.
     """
 
     params: CircuitParams
     grid: PhaseGrid
     f_values: np.ndarray
-    gap_01: np.ndarray
-    gap_02: np.ndarray
-    gap_12: np.ndarray
+    levels: np.ndarray
     t_01: np.ndarray
     t_02: np.ndarray
     t_12: np.ndarray
     k_01: np.ndarray
     k_12: np.ndarray
-    crossing_01: np.ndarray
-    crossing_12: np.ndarray
+
+    def gap(self, i: int, j: int) -> np.ndarray:
+        return self.levels[:, j] - self.levels[:, i]
 
 
 def transition_table(
@@ -99,45 +151,19 @@ def transition_table(
     sector: str = "even",
     seed: int = 0,
 ) -> TransitionTable:
-    """Sweep ``f`` at fixed ``f_s`` and tabulate the working-level couplings.
-
-    Six levels are solved by default so that near-degenerate clusters around
-    the half-flux crossings are fully contained and can be consistently
-    rotated before amplitudes are read off.
-    """
+    """Sweep ``f`` at fixed ``f_s``: one :func:`point_record` per value."""
     f_values = np.asarray(f_values, dtype=np.float64)
-    n = f_values.size
-    cols = {name: np.empty(n) for name in ("gap_01", "gap_02", "gap_12", "t_01", "t_02", "t_12", "k_01", "k_12")}
-    crossing_01 = np.zeros(n, dtype=bool)
-    crossing_12 = np.zeros(n, dtype=bool)
-
-    for idx, f in enumerate(f_values):
-        op = assemble_hamiltonian(params.replace(f=float(f)), grid, sector=sector)
-        spec = lowest_eigenpairs(op, k, seed=seed)
-        cols["gap_01"][idx] = spec.gap(0, 1)
-        cols["gap_02"][idx] = spec.gap(0, 2)
-        cols["gap_12"][idx] = spec.gap(1, 2)
-        cols["t_01"][idx] = transition_element(spec, 0, 1)
-        cols["t_02"][idx] = transition_element(spec, 0, 2)
-        cols["t_12"][idx] = transition_element(spec, 1, 2)
-        try:
-            cols["k_01"][idx] = adiabatic_k(spec, 0, 1)
-        except DegenerateGapError:
-            cols["k_01"][idx] = math.nan
-            crossing_01[idx] = True
-        try:
-            cols["k_12"][idx] = adiabatic_k(spec, 1, 2)
-        except DegenerateGapError:
-            cols["k_12"][idx] = math.nan
-            crossing_12[idx] = True
-
+    records = [
+        point_record(params.replace(f=float(f)), grid, k=k, sector=sector, seed=seed)
+        for f in f_values
+    ]
+    columns = ("t_01", "t_02", "t_12", "k_01", "k_12")
     return TransitionTable(
         params=params,
         grid=grid,
         f_values=f_values,
-        crossing_01=crossing_01,
-        crossing_12=crossing_12,
-        **cols,
+        levels=np.array([r.levels for r in records]).reshape(f_values.size, k),
+        **{name: np.array([getattr(r, name) for r in records]) for name in columns},
     )
 
 

@@ -204,12 +204,12 @@ def test_11_byte_identical_outputs_across_runs_and_workers(tmp_path):
     cfg.write_text(
         "circuit: {n_p: 41, n_q: 81}\n"
         "sweep: {f_start: 0.48, f_stop: 0.50, f_points: 3,"
-        " f_s_values: [0.27], ramp_f_s_values: [0.22, 0.27], k: 4}\n"
+        " f_s_values: [0.22, 0.27], ramp_f_s_values: [0.22, 0.27], k: 4}\n"
     )
     outputs = []
     for label, workers in (("a", "1"), ("b", "1"), ("c", "2")):
         out = tmp_path / label
-        for command in ("fig2", "fig3"):
+        for command in ("fig2", "fig3", "sweep"):
             code = main(
                 [command, "--config", str(cfg), "--out", str(out), "--workers", workers]
             )

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from fluxmaser import CircuitParams, PhaseGrid, transition_table
 from fluxmaser.cli import WORKERS_ENV, _fmt, _resolve_workers, main
 from fluxmaser.config import OutputBlock, RunConfig, config_digest, load_config
 from fluxmaser.errors import ConfigError
@@ -95,6 +96,11 @@ def test_type_errors_rejected(tmp_path):
         "circuit: {n_p: 41.5}\n",
         "circuit: {n_p: true}\n",
         "sweep: {f_s_values: 0.27}\n",
+        "circuit: {sector: torus}\n",
+        "sweep: {f_points: 0}\n",
+        "sweep: {k: 2}\n",
+        "sweep: {k: 3}\n",
+        "sweep: {k: 9}\n",
     ):
         path = tmp_path / "bad.yaml"
         path.write_text(snippet)
@@ -110,10 +116,14 @@ def test_integer_promoted_to_float(tmp_path):
     assert isinstance(cfg.circuit.gamma, float)
 
 
-def test_digest_tracks_content(tiny_config):
+def test_digest_tracks_content(tiny_config, tmp_path):
     base = config_digest(load_config(None))
     assert base == config_digest(load_config(None))
     assert base != config_digest(load_config(tiny_config))
+    # the worker count is execution-only: setting it in YAML leaves the digest
+    pinned = tmp_path / "pinned.yaml"
+    pinned.write_text(TINY_CONFIG + "output: {workers: 2}\n")
+    assert config_digest(load_config(pinned)) == config_digest(load_config(tiny_config))
 
 
 # -- worker resolution ------------------------------------------------------
@@ -221,6 +231,27 @@ def test_sweep_covers_all_screening_values(tmp_path):
         assert header[0] == "f"
         assert "K_01" in header
         assert len(body) == 2
+
+
+def test_sweep_csv_is_a_projection_of_transition_table(tiny_config, tmp_path):
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(tiny_config), "--out", str(out), "--workers", "1"]) == 0
+    _, header, body = read_rows(out / "sweep_fs_0.27.csv")
+    f_values = np.linspace(0.48, 0.50, 3)
+    table = transition_table(CircuitParams(f_s=0.27), PhaseGrid(41, 81), f_values, k=4)
+    columns = {
+        "f": f_values,
+        "f_s": np.full(3, 0.27),
+        "gap_01": table.gap(0, 1),
+        "gap_02": table.gap(0, 2),
+        "gap_12": table.gap(1, 2),
+        "t_01": table.t_01,
+        "t_02": table.t_02,
+        "t_12": table.t_12,
+        "K_01": table.k_01,
+        "K_12": table.k_12,
+    }
+    assert body == [[_fmt(columns[name][n], 12) for name in header] for n in range(3)]
 
 
 def test_unknown_config_key_exits_one(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Eigensolver contracts: ordering, orthonormality, determinism, sweeps, cache."""
+"""Eigensolver contracts: ordering, orthonormality, determinism, sweeps."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from fluxmaser import (
     PhaseGrid,
     assemble_hamiltonian,
     lowest_eigenpairs,
-    sweep_spectrum,
+    transition_table,
 )
 
 COARSE = PhaseGrid(41, 81)
@@ -76,29 +76,13 @@ def test_sweep_levels_continuous():
     # no eigenvalue may jump by more than 10x the drive-coupling slope bound
     # (2*pi per unit f) between adjacent scan points
     f_values = np.linspace(0.49, 0.50, 11)
-    sweep = sweep_spectrum(CircuitParams(f_s=0.27), COARSE, f_values, k=4)
+    sweep = transition_table(CircuitParams(f_s=0.27), COARSE, f_values, k=4)
+    assert sweep.levels.shape == (11, 4)
     assert np.max(np.abs(np.diff(sweep.levels, axis=0))) < 10 * 2 * np.pi * 0.001
 
 
 def test_sweep_deterministic():
     f_values = np.linspace(0.48, 0.50, 5)
-    a = sweep_spectrum(CircuitParams(f_s=0.22), COARSE, f_values, k=3)
-    b = sweep_spectrum(CircuitParams(f_s=0.22), COARSE, f_values, k=3)
+    a = transition_table(CircuitParams(f_s=0.22), COARSE, f_values, k=4)
+    b = transition_table(CircuitParams(f_s=0.22), COARSE, f_values, k=4)
     assert np.max(np.abs(a.levels - b.levels)) < 1e-12
-
-
-def test_sweep_cache_round_trip(tmp_path):
-    f_values = np.linspace(0.48, 0.50, 5)
-    params = CircuitParams(f_s=0.22)
-    first = sweep_spectrum(params, COARSE, f_values, k=3, cache_dir=tmp_path)
-    assert not first.from_cache
-    second = sweep_spectrum(params, COARSE, f_values, k=3, cache_dir=tmp_path)
-    assert second.from_cache
-    assert np.array_equal(first.levels, second.levels)  # bit-exact, not approximate
-
-
-def test_sweep_cache_invalidated_by_any_field(tmp_path):
-    f_values = np.linspace(0.48, 0.50, 5)
-    sweep_spectrum(CircuitParams(f_s=0.22), COARSE, f_values, k=3, cache_dir=tmp_path)
-    other = sweep_spectrum(CircuitParams(f_s=0.27), COARSE, f_values, k=3, cache_dir=tmp_path)
-    assert not other.from_cache

@@ -154,10 +154,10 @@ def test_table_reports_zero_ramp_columns_without_screening():
     table = transition_table(CircuitParams(f_s=0.0), COARSE, [0.48, 0.49], k=4)
     assert np.all(table.k_01 == 0.0)
     assert np.all(table.k_12 == 0.0)
-    assert not table.crossing_01.any()
+    assert not np.isnan(table.k_01).any()
 
 
 def test_table_columns_finite_with_screening():
     table = transition_table(CircuitParams(f_s=0.22), COARSE, [0.47, 0.48], k=4)
-    for col in (table.gap_01, table.t_01, table.t_02, table.t_12, table.k_01, table.k_12):
+    for col in (table.gap(0, 1), table.t_01, table.t_02, table.t_12, table.k_01, table.k_12):
         assert np.all(np.isfinite(col))
