@@ -56,6 +56,10 @@ class SweepBlock:
     def __post_init__(self) -> None:
         if self.f_points < 1:
             raise ValueError(f"f_points must be >= 1, got {self.f_points}")
+        # an empty list would make its commands exit 0 with no rows at all
+        for name in ("f_s_values", "ramp_f_s_values"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
         # fig2 writes levels E0..E3, and the eigensolver returns at most MAX_K
         if not 4 <= self.k <= MAX_K:
             raise ValueError(f"k must be between 4 and {MAX_K}, got {self.k}")
@@ -68,6 +72,10 @@ class MaserBlock:
     # (n_t, tau_int/pi) operating points for the distribution tables
     cases: tuple[tuple[float, float], ...] = ((1.0, 1.4), (100.0, 10.0))
 
+    def __post_init__(self) -> None:
+        if not self.cases:
+            raise ValueError("cases must not be empty")
+
 
 @dataclass(frozen=True)
 class EvolveBlock:
@@ -79,6 +87,15 @@ class EvolveBlock:
     t_final: float = 20.0
     record_every: int = 50
     trajectory_levels: int = 8
+
+    def __post_init__(self) -> None:
+        if not (self.dt > 0 and self.t_final > 0):
+            raise ValueError(f"dt and t_final must be positive, got {self.dt}, {self.t_final}")
+        if self.record_every < 1 or self.trajectory_levels < 1:
+            raise ValueError(
+                f"record_every and trajectory_levels must be >= 1, "
+                f"got {self.record_every}, {self.trajectory_levels}"
+            )
 
 
 @dataclass(frozen=True)

@@ -10,48 +10,41 @@ term is ordinary Poissonian gain; the second-order term is the correction
 for regular (sub-Poissonian) arming of the emitter.  Everything is expressed
 in cavity-lifetime units: ``kappa = 1`` and ``r_a = n_t``.
 
-The module deliberately offers two independent routes to the steady state —
-time integration (``evolve``) and an explicit nullspace of the
-diagonal-sector generator (``steady_state_nullspace``) — used to validate
-the closed-form recursions elsewhere.
+``gain_map``, ``dissipator`` and ``generator`` are the matrix-form
+definitions.  The generator keeps the coherence order ``d = n - m`` and is a
+four-diagonal band on each diagonal of rho, built in closed form by
+``_coherence_block``.  Two independent routes to the steady state use these
+blocks to validate the closed-form recursions elsewhere: time integration
+(``evolve``, sparse RK4) and the ``d = 0`` nullspace
+(``steady_state_nullspace``, one O(n_max) sparse solve).
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .errors import AmbiguousSteadyStateError, InvariantViolation, StabilityError, TruncationWarning
-from .maser import MaserConfig, PhotonDistribution
+from .maser import MaserConfig, PhotonDistribution, _finalize
 
 __all__ = [
-    "validate_density_matrix",
-    "fock_state",
-    "thermal_state",
-    "gain_map",
-    "dissipator",
-    "generator",
-    "Trajectory",
-    "evolve",
-    "diagonal_generator",
-    "steady_state_nullspace",
+    "validate_density_matrix", "fock_state", "thermal_state", "gain_map", "dissipator",
+    "generator", "Trajectory", "evolve", "diagonal_generator", "steady_state_nullspace",
 ]
 
 KAPPA = 1.0
 STABILITY_MARGIN = 0.1
 TOP_LEVEL_TOL = 1e-10
+RESIDUAL_BOUND = 1e-8  # max |G p| a trusted steady state may leave
 
 
 def validate_density_matrix(
-    rho: np.ndarray,
-    *,
-    herm_tol: float = 1e-12,
-    trace_tol: float = 1e-12,
-    diag_floor: float = -1e-10,
-    context: str = "",
+    rho: np.ndarray, *, herm_tol: float = 1e-12, trace_tol: float = 1e-12,
+    diag_floor: float = -1e-10, context: str = "",
 ) -> None:
     """Check hermiticity, unit trace and non-negative populations.
 
@@ -78,8 +71,7 @@ def fock_state(n: int, n_max: int) -> np.ndarray:
 def thermal_state(n_th: float, n_max: int) -> np.ndarray:
     q = n_th / (n_th + 1.0)
     diag = (1.0 - q) * q ** np.arange(n_max + 1)
-    rho = np.diag(diag / diag.sum()).astype(complex)
-    return rho
+    return np.diag(diag / diag.sum()).astype(complex)
 
 
 def gain_map(rho: np.ndarray, g_tau: float) -> np.ndarray:
@@ -146,6 +138,36 @@ def generator(rho: np.ndarray, cfg: MaserConfig, kappa: float = KAPPA) -> np.nda
     return r_a * first - 0.5 * r_a * second + dissipator(rho, cfg.n_th, kappa)
 
 
+def _coherence_block(cfg: MaserConfig, d: int, kappa: float = KAPPA) -> sp.csr_matrix:
+    """Generator on the ``d``-th diagonal of rho, as a sparse square block.
+
+    Index ``i`` stands for ``rho_{i+d, i}`` (``d >= 0``) or ``rho_{i, i-d}``;
+    every coefficient is symmetric in ``n`` and ``m``, so only ``|d|`` matters.
+    ``M - 1`` puts ``C_n C_m - 1`` on the diagonal and ``S_n S_m`` below it
+    (``C_k = cos(g_tau sqrt(k+1))``, ``S_k = sin(g_tau sqrt(k))``), its square
+    adds offset -2, and ``L`` is tridiagonal with a reflecting top level.
+    """
+    d = abs(d)
+    levels = np.arange(cfg.n_max + 1, dtype=float)
+    size = levels.size - d
+    m, n = levels[:size], levels[d:]
+    cos_k = np.cos(cfg.g_tau * np.sqrt(levels + 1.0))
+    sin_k = np.sin(cfg.g_tau * np.sqrt(levels))
+    a0 = cos_k[d:] * cos_k[:size] - 1.0  # M - 1 on the diagonal
+    a1 = sin_k[d + 1 :] * sin_k[1:size]  # M - 1 below it
+    up_weight = np.append(levels[1:], 0.0)  # reflecting top level
+    root = np.sqrt(n[1:] * m[1:])
+    down, up, r_a = kappa * (cfg.n_th + 1.0), kappa * cfg.n_th, cfg.n_t * kappa
+    # DIA layout: row k holds offset (-2, -1, 0, 1)[k], entry j sits in column j
+    data = np.zeros((4, size))
+    data[0, :-2] = -0.5 * r_a * a1[1:] * a1[:-1]
+    data[1, :-1] = up * root + r_a * a1 - 0.5 * r_a * a1 * (a0[1:] + a0[:-1])
+    data[2] = r_a * a0 - 0.5 * r_a * a0 * a0
+    data[2] -= 0.5 * down * (n + m) + 0.5 * up * (up_weight[d:] + up_weight[:size])
+    data[3, 1:] = down * root
+    return sp.dia_matrix((data, [-2, -1, 0, 1]), shape=(size, size)).tocsr()
+
+
 @dataclass
 class Trajectory:
     """Recorded time evolution: populations, trace and mean photon number."""
@@ -160,26 +182,24 @@ class Trajectory:
 
 
 def evolve(
-    rho0: np.ndarray,
-    cfg: MaserConfig,
-    t_final: float,
-    dt: float,
-    *,
-    record_every: int = 10,
+    rho0: np.ndarray, cfg: MaserConfig, t_final: float, dt: float, *, record_every: int = 10,
     kappa: float = KAPPA,
 ) -> Trajectory:
     """Fixed-step 4th-order Runge-Kutta integration of the master equation.
 
-    The step must satisfy the explicit stability budget
-    ``dt * (r_a + kappa * (n_th + 1) * n_max) < 0.1``; otherwise a
-    ``StabilityError`` carrying a workable suggestion is raised before any
-    work is done.  Hermiticity (1e-10) and trace conservation (1e-9) are
-    enforced at every recorded step.  Populations are NOT floored mid-run:
-    the second-order pump correction is a regular-pumping approximation and
-    can push diagonals transiently negative for coherent initial states —
-    a property of the model equation, not an integration fault.  Positivity
-    is a steady-state statement and is asserted there by callers.
+    Before any work, non-positive ``dt``/``t_final`` or ``record_every < 1``
+    raise ``ValueError``, and a step outside the stability budget
+    ``dt * (r_a + kappa * (n_th + 1) * n_max) < 0.1`` a ``StabilityError``
+    with a workable suggestion.  The generator is assembled once from the
+    closed-form blocks; each RK4 stage is one sparse matrix-vector product.
+    Hermiticity (1e-10) and trace (1e-9) are enforced at every recorded step,
+    where a populated top Fock level also raises a ``TruncationWarning`` while
+    pumped.  Populations are NOT floored: the second-order pump correction
+    can push them transiently negative for coherent initial states — a
+    property of the model equation, not an integration fault.
     """
+    if not (dt > 0 and t_final > 0 and record_every >= 1):
+        raise ValueError(f"need dt, t_final > 0, record_every > 0: {dt}, {t_final}, {record_every}")
     rate_scale = cfg.n_t * kappa + kappa * (cfg.n_th + 1.0) * cfg.n_max
     if dt * rate_scale >= STABILITY_MARGIN:
         suggestion = 0.5 * STABILITY_MARGIN / rate_scale
@@ -188,94 +208,73 @@ def evolve(
             f"try dt={suggestion:.3e}",
             suggested_dt=suggestion,
         )
-    if rho0.shape != (cfg.n_max + 1, cfg.n_max + 1):
+    size = cfg.n_max + 1
+    if rho0.shape != (size, size):
         raise ValueError(f"rho0 shape {rho0.shape} does not match n_max={cfg.n_max}")
     validate_density_matrix(rho0, context="initial state")
 
     steps = max(1, int(round(t_final / dt)))
-    n_axis = np.arange(cfg.n_max + 1, dtype=float)
-    rho = rho0.astype(complex)
+    n_axis = np.arange(size, dtype=float)
+    orders = range(-cfg.n_max, size)
+    flat = np.arange(size * size).reshape(size, size)
+    unorder = np.argsort(np.concatenate([np.diagonal(flat, -d) for d in orders]))
+    blocks = sp.block_diag([_coherence_block(cfg, d, kappa) for d in orders], format="csr")
+    liouvillian = blocks[unorder][:, unorder].astype(complex)  # acts on rho.ravel()
+    x = rho0.astype(complex).ravel()
 
-    times = [0.0]
-    traces = [float(np.real(np.trace(rho)))]
-    populations = [np.real(np.diag(rho)).copy()]
-    mean_n = [float(np.dot(n_axis, populations[0]))]
+    times, traces, populations, mean_n = [], [], [], []
+    for step in range(steps + 1):
+        if step:
+            k1 = liouvillian @ x
+            k2 = liouvillian @ (x + 0.5 * dt * k1)
+            k3 = liouvillian @ (x + 0.5 * dt * k2)
+            k4 = liouvillian @ (x + dt * k3)
+            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if step % record_every and step != steps:
+            continue
+        t = step * dt
+        rho = x.reshape(size, size)
+        if cfg.n_t > 0 and abs(rho[-1, -1]) > TOP_LEVEL_TOL:
+            message = f"top Fock level populated ({abs(rho[-1, -1]):.2e}) at t={t:g}"
+            warnings.warn(message, TruncationWarning, stacklevel=2)
+        validate_density_matrix(
+            rho, herm_tol=1e-10, trace_tol=1e-9, diag_floor=-np.inf, context=f"t={t:g}"
+        )
+        times.append(t)
+        traces.append(float(np.real(np.trace(rho))))
+        populations.append(np.real(np.diag(rho)).copy())
+        mean_n.append(float(np.dot(n_axis, populations[-1])))
 
-    for step in range(1, steps + 1):
-        k1 = generator(rho, cfg, kappa)
-        k2 = generator(rho + 0.5 * dt * k1, cfg, kappa)
-        k3 = generator(rho + 0.5 * dt * k2, cfg, kappa)
-        k4 = generator(rho + dt * k3, cfg, kappa)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if step % record_every == 0 or step == steps:
-            t = step * dt
-            validate_density_matrix(
-                rho,
-                herm_tol=1e-10,
-                trace_tol=1e-9,
-                diag_floor=-np.inf,
-                context=f"t={t:g}",
-            )
-            times.append(t)
-            traces.append(float(np.real(np.trace(rho))))
-            populations.append(np.real(np.diag(rho)).copy())
-            mean_n.append(float(np.dot(n_axis, populations[-1])))
-
-    return Trajectory(
-        times=np.asarray(times),
-        traces=np.asarray(traces),
-        populations=np.asarray(populations),
-        mean_n=np.asarray(mean_n),
-        rho_final=rho,
-        dt=dt,
-        steps=steps,
-    )
+    arrays = (np.asarray(values) for values in (times, traces, populations, mean_n))
+    return Trajectory(*arrays, rho_final=rho, dt=dt, steps=steps)
 
 
 def diagonal_generator(cfg: MaserConfig, kappa: float = KAPPA) -> np.ndarray:
-    """Explicit matrix of the generator restricted to Fock-diagonal states.
-
-    Built column by column by applying the full gain map and dissipator to
-    diagonal basis matrices — independent of any closed-form recursion.
-    """
-    size = cfg.n_max + 1
-    matrix = np.empty((size, size))
-    basis = np.zeros((size, size))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        for n in range(size):
-            basis[n, n] = 1.0
-            matrix[:, n] = np.real(np.diag(generator(basis, cfg, kappa)))
-            basis[n, n] = 0.0
-    return matrix
+    """The ``d = 0`` block, dense: column ``n`` is ``d/dt diag(rho)`` at ``rho = |n><n|``."""
+    return _coherence_block(cfg, 0, kappa).toarray()
 
 
 def steady_state_nullspace(cfg: MaserConfig, kappa: float = KAPPA) -> PhotonDistribution:
     """Steady state as the nullspace of the diagonal-sector generator.
 
-    The smallest singular vector is taken; if the second-smallest singular
-    value is not at least 1000x the smallest, the nullspace is not clean
-    enough to trust and ``AmbiguousSteadyStateError`` is raised.
+    The top row of the ``d = 0`` block is replaced by ``sum(p) = 1`` and the
+    system solved by sparse LU in O(n_max).  What leaks through the truncation
+    lands in the dropped row, so ``residual = max |G p|`` on the full block
+    tells whether a clean stationary state exists; above ``RESIDUAL_BOUND``,
+    or for a singular solve, ``AmbiguousSteadyStateError`` is raised.
     """
-    matrix = diagonal_generator(cfg, kappa)
-    _, svals, vt = np.linalg.svd(matrix)
-    smallest = svals[-1]
-    second = svals[-2]
-    if second < 1e3 * smallest:
+    block = _coherence_block(cfg, 0, kappa)
+    size = block.shape[0]
+    system = sp.vstack([block[:-1], sp.csr_matrix(np.ones((1, size)))], format="csc")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", spla.MatrixRankWarning)
+        vec = spla.spsolve(system, np.append(np.zeros(size - 1), 1.0))
+    residual = float(np.max(np.abs(block @ vec)))
+    if not residual <= RESIDUAL_BOUND:
         raise AmbiguousSteadyStateError(
-            f"singular values {second:.3e} / {smallest:.3e} leave the steady state ambiguous"
+            f"steady-state residual {residual:.3e} exceeds {RESIDUAL_BOUND:.0e}: "
+            "the truncated generator has no clean stationary state"
         )
-    vec = vt[-1]
-    if vec.sum() < 0:
-        vec = -vec
-    clamped = int(np.count_nonzero(vec < 0))
-    vec = np.clip(vec, 0.0, None)
-    p = vec / vec.sum()
-    p = p / p.sum()
-    return PhotonDistribution(
-        p=p,
-        provenance="master-equation",
-        unstable=False,
-        truncation_limited=bool(p[-1] >= 1e-10),
-        clamped_count=clamped,
-    )
+    dist = _finalize(vec, "master-equation", unstable=False)
+    dist.residual = residual
+    return dist

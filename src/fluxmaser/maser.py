@@ -83,7 +83,11 @@ class PhotonDistribution:
     ``recursion-atomic`` or ``master-equation``).  ``unstable`` means the
     unnormalized recursion grew beyond a millionfold of its seed (or many
     components had to be clamped); ``truncation_limited`` means weight is
-    still visible at the top of the Fock window.
+    still visible at the top of the Fock window.  ``clamped_count`` and
+    ``clamped_mass`` give the number and the total weight (in units of
+    ``p``) of the negative components clamped to zero.  ``residual`` is the
+    master-equation route's ``max |G p|`` before clamping (``None`` for the
+    recursions).
     """
 
     p: np.ndarray
@@ -91,6 +95,8 @@ class PhotonDistribution:
     unstable: bool = False
     truncation_limited: bool = False
     clamped_count: int = 0
+    clamped_mass: float = 0.0
+    residual: float | None = None
 
     @property
     def n_max(self) -> int:
@@ -115,9 +121,7 @@ def rabi_s(n, g_tau: float):
 
 
 def _finalize(raw: np.ndarray, provenance: str, unstable: bool) -> PhotonDistribution:
-    clamped = int(np.count_nonzero(raw < 0))
-    if clamped > raw.size / 10:
-        unstable = True
+    negative = raw[raw < 0]
     raw = np.clip(raw, 0.0, None)
     total = raw.sum()
     if total <= 0:
@@ -130,7 +134,8 @@ def _finalize(raw: np.ndarray, provenance: str, unstable: bool) -> PhotonDistrib
         provenance=provenance,
         unstable=unstable,
         truncation_limited=bool(p[-1] >= TAIL_TOL),
-        clamped_count=clamped,
+        clamped_count=negative.size,
+        clamped_mass=float((-negative).sum() / total),
     )
 
 
@@ -165,6 +170,8 @@ def _run(builder, cfg: MaserConfig, provenance: str, auto_extend: bool) -> Photo
     current = cfg
     while True:
         raw, unstable = builder(current)
+        # a recursion that needs many components clamped has gone unstable
+        unstable = unstable or np.count_nonzero(raw < 0) > raw.size / 10
         dist = _finalize(raw, provenance, unstable)
         if not (auto_extend and dist.truncation_limited and current.n_max < N_MAX_CEILING):
             return dist

@@ -5,8 +5,12 @@ whenever the production implementations change, the equivalence tests must
 keep passing against these.
 """
 
+import warnings
+
 import numpy as np
 from scipy.linalg import expm
+
+from fluxmaser.errors import TruncationWarning
 
 
 def joint_gain_oracle(rho: np.ndarray, g_tau: float) -> np.ndarray:
@@ -36,33 +40,51 @@ def joint_gain_oracle(rho: np.ndarray, g_tau: float) -> np.ndarray:
     return field[:size, :size]
 
 
-def poissonian_generator_nullspace(cfg) -> np.ndarray:
-    """Steady state of the randomly pumped (first-order) master equation.
+def probed_diagonal_generator(cfg, second_order=True, d=0) -> np.ndarray:
+    """Generator on the ``d``-th diagonal of rho, probed column by column.
 
-    Independent reference for the two-term atomic recursion: builds the
-    diagonal-sector matrix of r_a(M-1) + L column by column from the full
-    gain map and dissipator, then takes the nullspace.
+    Applies the matrix-form gain map and dissipator to one basis matrix per
+    element of that diagonal and reads the diagonal back out.  Row and
+    column ``i`` stand for ``rho_{i+d, i}`` (``d >= 0``) or ``rho_{i, i-d}``.
+    With ``second_order=False`` only the Poissonian ``r_a (M - 1) + L`` is
+    kept, the reference for the two-term atomic recursion.
     """
-    import warnings
-
-    from fluxmaser.errors import TruncationWarning
-    from fluxmaser.lindblad import dissipator, gain_map
+    from fluxmaser.lindblad import dissipator, gain_map, generator
 
     size = cfg.n_max + 1
-    matrix = np.empty((size, size))
-    basis = np.zeros((size, size))
+    matrix = np.empty((size - abs(d), size - abs(d)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
-        for n in range(size):
-            basis[n, n] = 1.0
-            rho = basis.astype(complex)
-            out = cfg.n_t * (gain_map(rho, cfg.g_tau) - rho) + dissipator(rho, cfg.n_th)
-            matrix[:, n] = np.real(np.diag(out))
-            basis[n, n] = 0.0
+        for i in range(size - abs(d)):
+            basis = np.zeros((size, size), dtype=complex)
+            basis[(i + d, i) if d >= 0 else (i, i - d)] = 1.0
+            if second_order:
+                out = generator(basis, cfg)
+            else:
+                out = cfg.n_t * (gain_map(basis, cfg.g_tau) - basis) + dissipator(basis, cfg.n_th)
+            matrix[:, i] = np.real(np.diagonal(out, -d))
+    return matrix
+
+
+def nullspace_vector(matrix: np.ndarray) -> np.ndarray:
+    """Normalised smallest right singular vector, refused unless it is clean."""
     _, svals, vt = np.linalg.svd(matrix)
     assert svals[-2] > 1e3 * svals[-1], "no clean nullspace at this truncation"
     vec = vt[-1]
-    if vec.sum() < 0:
-        vec = -vec
-    vec = np.clip(vec, 0.0, None)
     return vec / vec.sum()
+
+
+def rk4_reference(rho0: np.ndarray, cfg, dt: float, steps: int) -> np.ndarray:
+    """Fixed-step RK4 over the matrix-form ``generator``, one call per stage."""
+    from fluxmaser.lindblad import generator
+
+    rho = rho0.astype(complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        for _ in range(steps):
+            k1 = generator(rho, cfg)
+            k2 = generator(rho + 0.5 * dt * k1, cfg)
+            k3 = generator(rho + 0.5 * dt * k2, cfg)
+            k4 = generator(rho + dt * k3, cfg)
+            rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return rho

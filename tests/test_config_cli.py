@@ -101,6 +101,9 @@ def test_type_errors_rejected(tmp_path):
         "sweep: {k: 2}\n",
         "sweep: {k: 3}\n",
         "sweep: {k: 9}\n",
+        "sweep: {f_s_values: []}\n",
+        "sweep: {ramp_f_s_values: []}\n",
+        "maser: {cases: []}\n",
     ):
         path = tmp_path / "bad.yaml"
         path.write_text(snippet)
@@ -208,6 +211,25 @@ def test_evolve_rejects_bad_step_with_suggestion(tmp_path, capsys):
     assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert "try dt=" in err
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        "{record_every: 0}",
+        "{dt: 0.0}",
+        "{dt: -0.001}",
+        "{t_final: -1.0}",
+        "{trajectory_levels: 0}",
+    ],
+)
+def test_evolve_rejects_bad_inputs_up_front(block, tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"evolve: {block}\n")
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "invalid evolve block" in capsys.readouterr().err
+    assert not (out / "evolve.csv").exists()
 
 
 def test_estimate_device_prints_and_writes(tmp_path, capsys):

@@ -14,6 +14,8 @@ from fluxmaser.errors import (
     TruncationWarning,
 )
 from fluxmaser.lindblad import (
+    RESIDUAL_BOUND,
+    _coherence_block,
     diagonal_generator,
     dissipator,
     evolve,
@@ -24,9 +26,9 @@ from fluxmaser.lindblad import (
     thermal_state,
     validate_density_matrix,
 )
-from fluxmaser.maser import steady_state_sqc
+from fluxmaser.maser import steady_state_atomic, steady_state_sqc
 
-from .oracles import joint_gain_oracle
+from .oracles import joint_gain_oracle, nullspace_vector, probed_diagonal_generator, rk4_reference
 
 
 def random_density(size, seed, support=None):
@@ -151,6 +153,59 @@ def test_second_order_correction_is_a_true_square():
     assert np.max(np.abs((superop @ superop @ rho.ravel()) - twice.ravel())) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        MaserConfig(n_th=0.1, n_t=2.0, g_tau=1.1, n_max=8),
+        MaserConfig(n_th=0.1, n_t=1.0, g_tau=1.4 * math.pi, n_max=23),
+        MaserConfig(n_th=0.3, n_t=0.0, g_tau=0.9, n_max=23),
+        MaserConfig(n_th=0.0, n_t=3.0, g_tau=0.9, n_max=23),
+    ],
+    ids=["nmax8", "nmax23", "no-pump", "cold-bath"],
+)
+def test_coherence_blocks_match_probed_generator(cfg):
+    for d in range(-cfg.n_max, cfg.n_max + 1):
+        probed = probed_diagonal_generator(cfg, d=d)
+        assert np.max(np.abs(_coherence_block(cfg, d).toarray() - probed)) < 1e-12, f"d={d}"
+    assert np.max(np.abs(diagonal_generator(cfg) - probed_diagonal_generator(cfg))) < 1e-12
+
+
+def test_coherence_blocks_reproduce_generator_on_coherent_state():
+    cfg = MaserConfig(n_th=0.2, n_t=2.0, g_tau=1.1, n_max=23)
+    rho = random_density(24, seed=19)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        full = generator(rho, cfg)
+    for d in range(-23, 24):
+        blockwise = _coherence_block(cfg, d) @ np.diagonal(rho, -d)
+        assert np.max(np.abs(blockwise - np.diagonal(full, -d))) < 1e-12, f"d={d}"
+
+
+def test_first_order_generator_nullspace_is_the_atomic_recursion():
+    cfg = MaserConfig(n_th=0.1, n_t=1.0, g_tau=0.7, n_max=32)
+    vec = nullspace_vector(probed_diagonal_generator(cfg, second_order=False))
+    assert np.max(np.abs(vec - steady_state_atomic(cfg, auto_extend=False).p)) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "t_final, dt, record_every",
+    [(1.0, 0.0, 10), (1.0, -1e-3, 10), (-1.0, 1e-3, 10), (0.0, 1e-3, 10), (1.0, 1e-3, 0)],
+)
+def test_evolve_rejects_nonpositive_inputs(t_final, dt, record_every):
+    cfg = MaserConfig(n_th=0.1, n_t=1.0, g_tau=1.0, n_max=8)
+    with pytest.raises(ValueError, match="need dt") as exc:
+        evolve(fock_state(0, 8), cfg, t_final, dt, record_every=record_every)
+    assert not isinstance(exc.value, StabilityError)
+
+
+def test_evolve_warns_when_top_level_populated():
+    cfg = MaserConfig(n_th=0.1, n_t=1.0, g_tau=1.0, n_max=8)
+    rho0 = fock_state(0, 8)
+    rho0[0, 0], rho0[8, 8] = 1.0 - 1e-8, 1e-8
+    with pytest.warns(TruncationWarning, match="top Fock level"):
+        evolve(rho0, cfg, t_final=0.01, dt=1e-3)
+
+
 def test_evolve_rejects_unstable_step():
     cfg = MaserConfig(n_th=0.1, n_t=1.0, g_tau=1.0, n_max=32)
     with pytest.raises(StabilityError, match="try dt") as exc:
@@ -185,6 +240,17 @@ def pumped_long_run():
     rho0 = np.outer(psi, psi).astype(complex)
     traj = evolve(rho0, cfg, t_final=20.0, dt=2e-3, record_every=500)
     return cfg, traj
+
+
+def test_evolve_matches_reference_rk4_from_coherent_state(pumped_long_run):
+    cfg, _ = pumped_long_run
+    psi = np.zeros(33)
+    psi[0] = psi[1] = 1.0 / math.sqrt(2.0)
+    rho0 = np.outer(psi, psi).astype(complex)
+    traj = evolve(rho0, cfg, t_final=0.4, dt=2e-3, record_every=50)
+    assert traj.steps == 200
+    reference = rk4_reference(rho0, cfg, dt=2e-3, steps=200)
+    assert np.max(np.abs(traj.rho_final - reference)) < 1e-12
 
 
 def test_long_run_trace_conserved(pumped_long_run):
@@ -242,11 +308,28 @@ def test_nullspace_matches_recursion():
     assert np.max(np.abs(a.p - b.p)) < 1e-8
 
 
+def test_nullspace_matches_recursion_at_benchmark_cutoff():
+    cfg = MaserConfig.from_interaction_time(1.0, 1.4 * math.pi, n_th=0.1, n_max=512)
+    a = steady_state_nullspace(cfg)
+    b = steady_state_sqc(cfg, auto_extend=False)
+    assert np.max(np.abs(a.p - b.p)) < 1e-8
+    assert a.residual <= RESIDUAL_BOUND
+
+
+def test_nullspace_reports_quasi_trap_residue():
+    # the -1.77e-6 population at n=7 is clamped; count and mass say so
+    cfg = MaserConfig(n_th=0.1, n_t=1.0, g_tau=1.4 * math.pi, n_max=32)
+    dist = steady_state_nullspace(cfg)
+    assert dist.clamped_count >= 1
+    assert dist.clamped_mass >= 1.7e-6
+    assert dist.residual <= RESIDUAL_BOUND
+
+
 def test_nullspace_refuses_underresolved_truncation():
     # at this pump the distribution lives around n~100; a 64-level box leaks
     # so badly there is no clean stationary vector to report
     cfg = MaserConfig.from_interaction_time(100.0, 0.5 * math.pi, n_th=0.1, n_max=64)
-    with pytest.raises(AmbiguousSteadyStateError):
+    with pytest.raises(AmbiguousSteadyStateError, match="residual"):
         steady_state_nullspace(cfg)
 
 
