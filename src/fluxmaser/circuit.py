@@ -15,16 +15,12 @@ with kinetic coefficients fixed by the charging-to-Josephson energy ratio
 The potential is invariant under the half-period translation
 ``(phi_p, phi_q) -> (phi_p + pi, phi_q + 2*pi)``, so the spectrum on the full
 ``[-pi,pi) x [-2pi,2pi)`` torus contains every physical level twice, once per
-symmetry sector.  ``assemble_hamiltonian`` therefore offers two
-representations:
-
-* ``"torus"`` — literal 5-point finite differences on the full doubled cell
-  (useful for validation; its spectrum is the union of both sectors);
-* ``"sector"`` — the default: one symmetry sector, built from real
-  trigonometric modes in ``phi_p`` crossed with finite differences in
-  ``phi_q`` on the reduced domain ``[-pi, pi)``, with a per-mode boundary
-  sign implementing the sector condition.  This is what physical spectra and
-  matrix elements are computed from.
+symmetry sector.  ``assemble_hamiltonian`` builds one sector: real
+trigonometric modes in ``phi_p`` crossed with finite differences in ``phi_q``
+on the reduced domain ``[-pi, pi)``, with a per-mode boundary sign
+implementing the sector condition.  Physical spectra and matrix elements are
+computed from this operator; the literal finite-difference torus it is
+checked against lives with the test oracles.
 """
 
 from __future__ import annotations
@@ -103,7 +99,7 @@ class PhaseGrid:
     """Uniform sampling of the doubled phase cell ``[-pi,pi) x [-2pi,2pi)``.
 
     ``n_q_half`` points cover the reduced domain ``[-pi, pi)`` used by the
-    sector representation; the count is chosen so the reduced step matches
+    sector Hamiltonian; the count is chosen so the reduced step matches
     the full-cell step (``(n_q+1)//2`` points).
     """
 
@@ -173,17 +169,6 @@ def circulating_current(params: CircuitParams, phi_p, phi_q):
     return -np.cos(phi_p) * np.sin(math.pi * params.f + phi_q / 2.0)
 
 
-def _minus_d2(n: int, h: float, wrap_sign: float = 1.0) -> sp.csr_matrix:
-    """Second-order 3-point stencil for ``-d2/dx2`` with (anti)periodic wrap."""
-    inv = 1.0 / (h * h)
-    main = np.full(n, 2.0 * inv)
-    off = np.full(n - 1, -inv)
-    mat = sp.diags([off, main, off], [-1, 0, 1], format="lil")
-    mat[0, n - 1] = -inv * wrap_sign
-    mat[n - 1, 0] = -inv * wrap_sign
-    return mat.tocsr()
-
-
 def _sector_modes(n_p: int) -> tuple[np.ndarray, np.ndarray]:
     """Real trigonometric basis bookkeeping for the ``phi_p`` direction.
 
@@ -236,39 +221,29 @@ def _coupling_ladder(ms: np.ndarray, kinds: np.ndarray) -> list[tuple[int, int, 
 
 @dataclass
 class HamiltonianOperator:
-    """Sparse symmetric real Hamiltonian in units of E_J.
+    """Sparse symmetric real sector Hamiltonian in units of E_J.
 
-    ``apply`` acts on coefficient vectors in the operator's own basis;
-    ``to_position`` maps such vectors to real wavefunction samples on
-    ``(phi_p_axis, phi_q_axis)``, unit-normalized under the quadrature
-    weight ``weight = h_p * h_q_used``.
+    ``matrix`` acts on coefficient vectors over (trigonometric ``phi_p``
+    mode, ``phi_q`` sample); ``to_position`` maps such vectors to real
+    wavefunction samples on ``(phi_p_axis, phi_q_axis)``, unit-normalized
+    under the quadrature weight ``weight = h_p * h_q_half``.
     """
 
     matrix: sp.csr_matrix
     params: CircuitParams
     grid: PhaseGrid
-    representation: str
-    sector: str | None
-    c_p: float
-    c_q: float
     phi_p_axis: np.ndarray
     phi_q_axis: np.ndarray
     weight: float
-    _basis: np.ndarray | None = field(default=None, repr=False)
+    _basis: np.ndarray = field(repr=False)
 
     @property
     def dimension(self) -> int:
         return self.matrix.shape[0]
 
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix @ vec
-
     def to_position(self, vec: np.ndarray) -> np.ndarray:
         """Map an l2-unit coefficient vector to quadrature-unit samples."""
-        n_qu = self.phi_q_axis.size
-        if self.representation == "torus":
-            return vec.reshape(self.phi_p_axis.size, n_qu) / math.sqrt(self.weight)
-        coeffs = vec.reshape(-1, n_qu)
+        coeffs = vec.reshape(-1, self.phi_q_axis.size)
         h_qr = self.phi_q_axis[1] - self.phi_q_axis[0]
         return (self._basis @ coeffs) / math.sqrt(h_qr)
 
@@ -277,51 +252,17 @@ def assemble_hamiltonian(
     params: CircuitParams,
     grid: PhaseGrid,
     *,
-    representation: Literal["sector", "torus"] = "sector",
     sector: Literal["even", "odd"] = "even",
-    zero_potential: bool = False,
 ) -> HamiltonianOperator:
-    """Build the sparse Hamiltonian matrix for the requested representation.
+    """Build the sparse Hamiltonian of one symmetry sector.
 
-    With ``zero_potential=True`` only the kinetic terms are kept (plane-wave
-    checks).  The torus representation uses the 5-point periodic
-    finite-difference stencil on the full cell; the sector representation is
-    exact in ``phi_p`` (trigonometric modes) and second order in ``phi_q``.
+    The operator is exact in ``phi_p`` (trigonometric modes up to the grid's
+    Nyquist harmonic) and second order in ``phi_q`` (3-point finite
+    differences on ``n_q_half`` points).  ``sector`` picks the boundary sign
+    of the half-period translation: ``"even"`` or ``"odd"``.
     """
-    if representation == "torus":
-        return _assemble_torus(params, grid, zero_potential)
-    if representation != "sector":
-        raise ValueError(f"unknown representation {representation!r}")
     if sector not in ("even", "odd"):
         raise ValueError(f"sector must be 'even' or 'odd', got {sector!r}")
-    return _assemble_sector(params, grid, sector, zero_potential)
-
-
-def _assemble_torus(params: CircuitParams, grid: PhaseGrid, zero_potential: bool) -> HamiltonianOperator:
-    kin_p = _minus_d2(grid.n_p, grid.h_p)
-    kin_q = _minus_d2(grid.n_q, grid.h_q)
-    ham = params.c_p * sp.kron(kin_p, sp.identity(grid.n_q), format="csr")
-    ham = ham + params.c_q * sp.kron(sp.identity(grid.n_p), kin_q, format="csr")
-    if not zero_potential:
-        pp, qq = np.meshgrid(grid.phi_p_axis, grid.phi_q_axis, indexing="ij")
-        ham = ham + sp.diags(potential(params, pp, qq).ravel())
-    return HamiltonianOperator(
-        matrix=ham.tocsr(),
-        params=params,
-        grid=grid,
-        representation="torus",
-        sector=None,
-        c_p=params.c_p,
-        c_q=params.c_q,
-        phi_p_axis=grid.phi_p_axis,
-        phi_q_axis=grid.phi_q_axis,
-        weight=grid.h_p * grid.h_q,
-    )
-
-
-def _assemble_sector(
-    params: CircuitParams, grid: PhaseGrid, sector: str, zero_potential: bool
-) -> HamiltonianOperator:
     sigma = 1.0 if sector == "even" else -1.0
     ms, kinds = _sector_modes(grid.n_p)
     n_modes = ms.size
@@ -329,14 +270,8 @@ def _assemble_sector(
     h_q = grid.h_q_half
     q_axis = grid.phi_q_half_axis
 
-    if zero_potential:
-        u_diag = np.zeros(n_q)
-        g_profile = np.zeros(n_q)
-    else:
-        u_diag = 2.0 + 2.0 * params.gamma * (
-            1.0 - math.cos(math.pi * params.f_s) * np.cos(q_axis)
-        )
-        g_profile = np.cos(math.pi * params.f + q_axis / 2.0)
+    u_diag = 2.0 + 2.0 * params.gamma * (1.0 - math.cos(math.pi * params.f_s) * np.cos(q_axis))
+    g_profile = np.cos(math.pi * params.f + q_axis / 2.0)
 
     blocks_rows: list[np.ndarray] = []
     blocks_cols: list[np.ndarray] = []
@@ -366,15 +301,14 @@ def _assemble_sector(
         blocks_cols.append(np.array([base]))
         blocks_vals.append(corner)
 
-    if not zero_potential:
-        for a, b, wab in _coupling_ladder(ms, kinds):
-            vals = -2.0 * wab * g_profile
-            blocks_rows.append(a * n_q + j_idx)
-            blocks_cols.append(b * n_q + j_idx)
-            blocks_vals.append(vals)
-            blocks_rows.append(b * n_q + j_idx)
-            blocks_cols.append(a * n_q + j_idx)
-            blocks_vals.append(vals)
+    for a, b, wab in _coupling_ladder(ms, kinds):
+        vals = -2.0 * wab * g_profile
+        blocks_rows.append(a * n_q + j_idx)
+        blocks_cols.append(b * n_q + j_idx)
+        blocks_vals.append(vals)
+        blocks_rows.append(b * n_q + j_idx)
+        blocks_cols.append(a * n_q + j_idx)
+        blocks_vals.append(vals)
 
     dim = n_modes * n_q
     ham = sp.coo_matrix(
@@ -386,10 +320,6 @@ def _assemble_sector(
         matrix=ham,
         params=params,
         grid=grid,
-        representation="sector",
-        sector=sector,
-        c_p=params.c_p,
-        c_q=params.c_q,
         phi_p_axis=grid.phi_p_axis,
         phi_q_axis=q_axis,
         weight=grid.h_p * h_q,

@@ -52,17 +52,17 @@ def _write_csv(path: str, comments: list[str], header: list[str], rows: list[lis
 
 
 def _resolve_workers(flag: int | None, cfg: RunConfig) -> int:
-    if flag is not None:
-        return max(1, flag)
     env = os.environ.get(WORKERS_ENV)
-    if env:
+    if flag is None and env:
         try:
-            return max(1, int(env))
+            flag = int(env)
         except ValueError as exc:
             raise ConfigError(f"{WORKERS_ENV} must be an integer, got {env!r}") from exc
-    if cfg.output.workers is not None:
-        return max(1, cfg.output.workers)
-    return os.cpu_count() or 1
+    if flag is None:
+        return cfg.output.workers or os.cpu_count() or 1
+    if flag < 1:
+        raise ConfigError(f"--workers and {WORKERS_ENV} must be >= 1, got {flag}")
+    return flag
 
 
 def _parallel_map(func, tasks, workers: int):

@@ -116,6 +116,13 @@ class OutputBlock:
     digits: int = 12
     workers: int | None = None
 
+    def __post_init__(self) -> None:
+        # 17 significant digits round-trip any double; fewer than 1 is no number
+        if not 1 <= self.digits <= 17:
+            raise ValueError(f"digits must be between 1 and 17, got {self.digits}")
+        if self.workers is not None and self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
+
 
 @dataclass(frozen=True)
 class RunConfig:

@@ -33,6 +33,7 @@ __all__ = [
 N_MAX_CEILING = 4096
 TAIL_TOL = 1e-10
 INSTABILITY_FACTOR = 1e6
+CLAMPED_MASS_LIMIT = 1e-4
 
 
 @dataclass(frozen=True)
@@ -81,13 +82,13 @@ class PhotonDistribution:
 
     ``provenance`` records which route produced it (``recursion-sqc``,
     ``recursion-atomic`` or ``master-equation``).  ``unstable`` means the
-    unnormalized recursion grew beyond a millionfold of its seed (or many
-    components had to be clamped); ``truncation_limited`` means weight is
-    still visible at the top of the Fock window.  ``clamped_count`` and
-    ``clamped_mass`` give the number and the total weight (in units of
-    ``p``) of the negative components clamped to zero.  ``residual`` is the
-    master-equation route's ``max |G p|`` before clamping (``None`` for the
-    recursions).
+    unnormalized recursion grew beyond a millionfold of its seed (or more
+    than ``CLAMPED_MASS_LIMIT`` of weight had to be clamped);
+    ``truncation_limited`` means weight is still visible at the top of the
+    Fock window.  ``clamped_count`` and ``clamped_mass`` give the number and
+    the total weight (in units of ``p``) of the negative components clamped
+    to zero.  ``residual`` is the master-equation route's ``max |G p|``
+    before clamping (``None`` for the recursions).
     """
 
     p: np.ndarray
@@ -169,10 +170,11 @@ def _atomic_raw(cfg: MaserConfig) -> tuple[np.ndarray, bool]:
 def _run(builder, cfg: MaserConfig, provenance: str, auto_extend: bool) -> PhotonDistribution:
     current = cfg
     while True:
-        raw, unstable = builder(current)
-        # a recursion that needs many components clamped has gone unstable
-        unstable = unstable or np.count_nonzero(raw < 0) > raw.size / 10
-        dist = _finalize(raw, provenance, unstable)
+        raw, grew = builder(current)
+        dist = _finalize(raw, provenance, grew)
+        # a recursion that had to clamp away real weight has gone unstable;
+        # the count is no guide, cancellation noise in the tail clamps freely
+        dist.unstable = grew or dist.clamped_mass > CLAMPED_MASS_LIMIT
         if not (auto_extend and dist.truncation_limited and current.n_max < N_MAX_CEILING):
             return dist
         current = current.extended(min(2 * current.n_max, N_MAX_CEILING))

@@ -1,8 +1,9 @@
 """Eigenpairs of the circuit Hamiltonian.
 
-Dense LAPACK diagonalization is used up to operator dimension 4096; larger
-problems go through shift-invert Lanczos with a deterministically seeded
-start vector, so repeated calls give bit-identical results.
+Every solve is shift-invert Lanczos about ``sigma = 0`` (ARPACK through
+``scipy.sparse.linalg.eigsh``; the sector Hamiltonian is positive definite)
+with a deterministically seeded start vector, so repeated calls give
+bit-identical results.  A residual gate rejects unconverged eigenpairs.
 """
 
 from __future__ import annotations
@@ -13,12 +14,11 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
-from .circuit import CircuitParams, HamiltonianOperator, PhaseGrid, circulating_current
+from .circuit import CircuitParams, HamiltonianOperator, circulating_current
 from .errors import ConvergenceError
 
 __all__ = ["EigenSpectrum", "lowest_eigenpairs"]
 
-DENSE_LIMIT = 4096
 MAX_K = 8
 DEFAULT_DEGENERACY_TOL = 5e-4
 
@@ -31,13 +31,11 @@ class EigenSpectrum:
     ``(phi_p_axis, phi_q_axis)`` and unit-normalized under the quadrature
     weight ``weight``; the component of largest magnitude is positive.
     ``residuals`` are the solver residual norms ``|H v - E v|`` in the
-    operator basis, before any degenerate-cluster rotation.
+    operator basis, before any degenerate-cluster rotation.  ``method`` names
+    the solver route, always ``"lanczos"``.
     """
 
     params: CircuitParams
-    grid: PhaseGrid
-    representation: str
-    sector: str | None
     levels: np.ndarray
     states: np.ndarray
     residuals: np.ndarray
@@ -60,10 +58,10 @@ def _seeded_start(dim: int, seed: int) -> np.ndarray:
     return v0 / np.linalg.norm(v0)
 
 
-def _degenerate_groups(levels: np.ndarray, tol: float) -> list[list[int]]:
+def _degenerate_groups(levels: np.ndarray) -> list[list[int]]:
     groups: list[list[int]] = [[0]]
     for i in range(1, levels.size):
-        if levels[i] - levels[i - 1] < tol:
+        if levels[i] - levels[i - 1] < DEFAULT_DEGENERACY_TOL:
             groups[-1].append(i)
         else:
             groups.append([i])
@@ -76,17 +74,16 @@ def lowest_eigenpairs(
     *,
     seed: int = 0,
     resolve_degeneracies: bool = True,
-    degeneracy_tol: float = DEFAULT_DEGENERACY_TOL,
 ) -> EigenSpectrum:
     """Compute the ``k`` lowest eigenpairs of a circuit Hamiltonian.
 
     When ``resolve_degeneracies`` is set (default), eigenvectors inside any
-    near-degenerate cluster (consecutive gaps below ``degeneracy_tol`` E_J)
-    are rotated to diagonalize the loop-current drive profile.  That is the
-    limiting adiabatic basis at a level crossing (the flux derivative of the
-    Hamiltonian is proportional to the current operator), and it makes
-    transition amplitudes continuous through crossings instead of
-    solver-arbitrary.  Inside a cluster the rotated states are linear
+    near-degenerate cluster (consecutive gaps below
+    ``DEFAULT_DEGENERACY_TOL`` E_J) are rotated to diagonalize the
+    loop-current drive profile.  That is the limiting adiabatic basis at a
+    level crossing (the flux derivative of the Hamiltonian is proportional
+    to the current operator), and it makes transition amplitudes continuous
+    through crossings instead of solver-arbitrary.  Inside a cluster the rotated states are linear
     combinations of true eigenvectors, accurate to the cluster's energy
     spread; ``residuals`` always reports the raw solver quality.
     """
@@ -96,17 +93,11 @@ def lowest_eigenpairs(
     if k >= dim:
         raise ValueError(f"k={k} too large for operator dimension {dim}")
 
-    if dim <= DENSE_LIMIT:
-        dense = op.matrix.toarray()
-        vals, vecs = scipy.linalg.eigh(dense, subset_by_index=[0, k - 1])
-        method = "dense"
-    else:
-        v0 = _seeded_start(dim, seed)
-        vals, vecs = spla.eigsh(op.matrix, k=k, sigma=0.0, which="LM", v0=v0, tol=0)
-        order = np.argsort(vals)
-        vals = vals[order]
-        vecs = vecs[:, order]
-        method = "lanczos"
+    v0 = _seeded_start(dim, seed)
+    vals, vecs = spla.eigsh(op.matrix, k=k, sigma=0.0, which="LM", v0=v0, tol=0)
+    order = np.argsort(vals)
+    vals = vals[order]
+    vecs = vecs[:, order]
 
     residuals = np.array(
         [np.linalg.norm(op.matrix @ vecs[:, i] - vals[i] * vecs[:, i]) for i in range(k)]
@@ -121,7 +112,7 @@ def lowest_eigenpairs(
     states = np.stack([op.to_position(vecs[:, i]) for i in range(k)])
 
     if resolve_degeneracies:
-        groups = [g for g in _degenerate_groups(vals, degeneracy_tol) if len(g) > 1]
+        groups = [g for g in _degenerate_groups(vals) if len(g) > 1]
         if groups:
             pp, qq = np.meshgrid(op.phi_p_axis, op.phi_q_axis, indexing="ij")
             drive = -circulating_current(op.params, pp, qq)
@@ -141,14 +132,11 @@ def lowest_eigenpairs(
 
     return EigenSpectrum(
         params=op.params,
-        grid=op.grid,
-        representation=op.representation,
-        sector=op.sector,
         levels=vals.astype(float),
         states=states,
         residuals=residuals,
         phi_p_axis=op.phi_p_axis,
         phi_q_axis=op.phi_q_axis,
         weight=op.weight,
-        method=method,
+        method="lanczos",
     )

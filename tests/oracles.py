@@ -8,9 +8,44 @@ keep passing against these.
 import warnings
 
 import numpy as np
-from scipy.linalg import expm
+import scipy.sparse as sp
+from scipy.linalg import eigh, expm
 
+from fluxmaser.circuit import potential
 from fluxmaser.errors import TruncationWarning
+
+
+def _minus_d2(n: int, h: float) -> sp.csr_matrix:
+    """Second-order 3-point stencil for ``-d2/dx2`` with periodic wrap."""
+    inv = 1.0 / (h * h)
+    main = np.full(n, 2.0 * inv)
+    off = np.full(n - 1, -inv)
+    mat = sp.diags([off, main, off], [-1, 0, 1], format="lil")
+    mat[0, n - 1] = -inv
+    mat[n - 1, 0] = -inv
+    return mat.tocsr()
+
+
+def torus_hamiltonian(params, grid, zero_potential=False) -> sp.csr_matrix:
+    """Literal 5-point finite-difference Hamiltonian on the full doubled cell.
+
+    Rows and columns run over ``(phi_p_axis, phi_q_axis)`` of ``grid`` with
+    ``phi_q`` fastest.  Its spectrum is the union of both symmetry sectors,
+    so it is the reference the sector operator is checked against.  With
+    ``zero_potential=True`` only the kinetic terms are kept (plane-wave
+    checks); the constant vector is then a null vector.
+    """
+    ham = params.c_p * sp.kron(_minus_d2(grid.n_p, grid.h_p), sp.identity(grid.n_q), format="csr")
+    ham = ham + params.c_q * sp.kron(sp.identity(grid.n_p), _minus_d2(grid.n_q, grid.h_q), format="csr")
+    if not zero_potential:
+        pp, qq = np.meshgrid(grid.phi_p_axis, grid.phi_q_axis, indexing="ij")
+        ham = ham + sp.diags(potential(params, pp, qq).ravel())
+    return ham.tocsr()
+
+
+def dense_levels(matrix, k: int) -> np.ndarray:
+    """The ``k`` lowest eigenvalues by dense LAPACK diagonalization."""
+    return eigh(matrix.toarray(), subset_by_index=[0, k - 1], eigvals_only=True)
 
 
 def joint_gain_oracle(rho: np.ndarray, g_tau: float) -> np.ndarray:

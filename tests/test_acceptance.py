@@ -10,6 +10,9 @@ to surface.
 
 import filecmp
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -17,6 +20,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+import fluxmaser
 from fluxmaser import (
     CircuitParams,
     MaserConfig,
@@ -199,13 +203,16 @@ def test_10_integrator_fidelity():
     assert gap < 1e-5, f"evolved diagonal vs recursion steady state: {gap:.3e}"
 
 
+BYTE_IDENTITY_CONFIG = (
+    "circuit: {n_p: 41, n_q: 81}\n"
+    "sweep: {f_start: 0.48, f_stop: 0.50, f_points: 3,"
+    " f_s_values: [0.22, 0.27], ramp_f_s_values: [0.22, 0.27], k: 4}\n"
+)
+
+
 def test_11_byte_identical_outputs_across_runs_and_workers(tmp_path):
     cfg = tmp_path / "cfg.yaml"
-    cfg.write_text(
-        "circuit: {n_p: 41, n_q: 81}\n"
-        "sweep: {f_start: 0.48, f_stop: 0.50, f_points: 3,"
-        " f_s_values: [0.22, 0.27], ramp_f_s_values: [0.22, 0.27], k: 4}\n"
-    )
+    cfg.write_text(BYTE_IDENTITY_CONFIG)
     outputs = []
     for label, workers in (("a", "1"), ("b", "1"), ("c", "2")):
         out = tmp_path / label
@@ -220,3 +227,26 @@ def test_11_byte_identical_outputs_across_runs_and_workers(tmp_path):
     for first, second, third in zip(*outputs):
         assert filecmp.cmp(first, second, shallow=False), f"{first.name} differs across runs"
         assert filecmp.cmp(first, third, shallow=False), f"{first.name} differs across workers"
+
+
+def test_outputs_independent_of_blas_thread_count(tmp_path):
+    # the thread count is fixed when BLAS loads, so each run is its own process
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(BYTE_IDENTITY_CONFIG)
+    src = str(Path(fluxmaser.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src)
+        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        out = tmp_path / f"threads_{threads}"
+        for command in ("fig2", "fig3", "sweep"):
+            subprocess.run(
+                [sys.executable, "-m", "fluxmaser.cli", command, "--config", str(cfg),
+                 "--out", str(out), "--workers", "1"],
+                env=env, check=True, capture_output=True, timeout=600,
+            )
+        outputs.append(sorted(out.glob("*.csv")))
+    assert [p.name for p in outputs[0]] == [p.name for p in outputs[1]]
+    assert len(outputs[0]) == 5
+    for one, two in zip(*outputs):
+        assert filecmp.cmp(one, two, shallow=False), f"{one.name} depends on the thread count"

@@ -15,6 +15,8 @@ from fluxmaser import (
     potential,
 )
 
+from .oracles import dense_levels, torus_hamiltonian
+
 finite_phase = st.floats(-8.0, 8.0, allow_nan=False)
 
 
@@ -81,25 +83,25 @@ def test_grid_rejects_underresolved_axes():
 
 
 def test_representation_and_sector_names_validated():
-    p = CircuitParams()
     with pytest.raises(ValueError):
-        assemble_hamiltonian(p, PhaseGrid(41, 81), representation="spherical")
-    with pytest.raises(ValueError):
-        assemble_hamiltonian(p, PhaseGrid(41, 81), sector="sideways")
+        assemble_hamiltonian(CircuitParams(), PhaseGrid(41, 81), sector="sideways")
 
 
 @pytest.mark.parametrize("representation", ["sector", "torus"])
 def test_operator_is_symmetric(representation):
-    grid = PhaseGrid(41, 81) if representation == "sector" else PhaseGrid(16, 32)
-    op = assemble_hamiltonian(CircuitParams(f=0.31, f_s=0.17), grid, representation=representation)
+    p = CircuitParams(f=0.31, f_s=0.17)
+    if representation == "sector":
+        matrix = assemble_hamiltonian(p, PhaseGrid(41, 81)).matrix
+    else:
+        matrix = torus_hamiltonian(p, PhaseGrid(16, 32))
     rng = np.random.default_rng(11)
     worst = 0.0
     for _ in range(100):
-        u = rng.normal(size=op.dimension)
-        v = rng.normal(size=op.dimension)
+        u = rng.normal(size=matrix.shape[0])
+        v = rng.normal(size=matrix.shape[0])
         u /= np.linalg.norm(u)
         v /= np.linalg.norm(v)
-        worst = max(worst, abs(u @ op.apply(v) - op.apply(u) @ v))
+        worst = max(worst, abs(u @ (matrix @ v) - (matrix @ u) @ v))
     assert worst < 1e-12
 
 
@@ -108,10 +110,10 @@ def test_torus_operator_applies_potential_to_constants():
     # the constant vector returns the potential samples
     p = CircuitParams(f=0.37, f_s=0.21)
     grid = PhaseGrid(16, 32)
-    op = assemble_hamiltonian(p, grid, representation="torus")
+    matrix = torus_hamiltonian(p, grid)
     pp, qq = np.meshgrid(grid.phi_p_axis, grid.phi_q_axis, indexing="ij")
     expected = potential(p, pp, qq).ravel()
-    assert np.max(np.abs(op.apply(np.ones(op.dimension)) - expected)) < 1e-12
+    assert np.max(np.abs(matrix @ np.ones(matrix.shape[0]) - expected)) < 1e-12
 
 
 def test_spectrum_invariant_under_flux_period_and_screening_sign():
@@ -127,8 +129,7 @@ def test_free_particle_matches_difference_dispersion():
     # half-integer wavenumbers because that axis is 4*pi-periodic
     p = CircuitParams(f=0.3, f_s=0.1)
     n_p, n_q = 24, 48
-    op = assemble_hamiltonian(p, PhaseGrid(n_p, n_q), representation="torus", zero_potential=True)
-    got = lowest_eigenpairs(op, 8, resolve_degeneracies=False).levels
+    got = dense_levels(torus_hamiltonian(p, PhaseGrid(n_p, n_q), zero_potential=True), 8)
     h_p, h_q = 2 * np.pi / n_p, 4 * np.pi / n_q
     disp_p = 4.0 * np.sin(np.pi * np.arange(n_p) / n_p) ** 2 / h_p**2
     disp_q = 4.0 * np.sin(np.pi * np.arange(n_q) / n_q) ** 2 / h_q**2
@@ -154,15 +155,13 @@ def test_doubled_torus_spectrum_collapses_to_sector_pairs():
     # sectors); the sector solver returns each once
     grid = PhaseGrid(41, 81)
     p = CircuitParams(f=0.493, f_s=0.27)
-    torus = lowest_eigenpairs(
-        assemble_hamiltonian(p, grid, representation="torus"), 4, resolve_degeneracies=False
-    )
+    torus = dense_levels(torus_hamiltonian(p, grid), 4)
     even = lowest_eigenpairs(assemble_hamiltonian(p, grid), 2)
-    assert torus.levels[1] - torus.levels[0] < 1e-5
-    assert torus.levels[3] - torus.levels[2] < 1e-5
+    assert torus[1] - torus[0] < 1e-5
+    assert torus[3] - torus[2] < 1e-5
     # pair centers track the sector levels up to the FD-vs-trig discretization gap
-    assert abs(torus.levels[0] - even.levels[0]) < 5e-3
-    assert abs(torus.levels[2] - even.levels[1]) < 5e-3
+    assert abs(torus[0] - even.levels[0]) < 5e-3
+    assert abs(torus[2] - even.levels[1]) < 5e-3
 
 
 def test_even_and_odd_sectors_nearly_degenerate():

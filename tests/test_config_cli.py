@@ -104,6 +104,10 @@ def test_type_errors_rejected(tmp_path):
         "sweep: {f_s_values: []}\n",
         "sweep: {ramp_f_s_values: []}\n",
         "maser: {cases: []}\n",
+        "output: {digits: -1}\n",
+        "output: {digits: 0}\n",
+        "output: {digits: 18}\n",
+        "output: {workers: 0}\n",
     ):
         path = tmp_path / "bad.yaml"
         path.write_text(snippet)
@@ -146,9 +150,20 @@ def test_worker_precedence(monkeypatch):
 
 
 def test_bad_worker_env_rejected(monkeypatch):
-    monkeypatch.setenv(WORKERS_ENV, "lots")
+    for value in ("lots", "0", "-3"):
+        monkeypatch.setenv(WORKERS_ENV, value)
+        with pytest.raises(ConfigError):
+            _resolve_workers(None, RunConfig())
+    monkeypatch.delenv(WORKERS_ENV)
     with pytest.raises(ConfigError):
-        _resolve_workers(None, RunConfig())
+        _resolve_workers(-3, RunConfig())
+
+
+def test_nonpositive_workers_flag_exits_one(tiny_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["fig2", "--config", str(tiny_config), "--workers", "0", "--out", str(out)]) == 1
+    assert ">= 1" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 def test_fmt_uses_significant_digits():

@@ -170,6 +170,19 @@ def test_instability_flag_on_large_prenormalization_growth():
     assert dist.p.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("n_max", [32, 256, 512])
+def test_headline_point_not_flagged_unstable(n_max):
+    # many tail components clamp (cancellation noise), but the clamped weight
+    # stays 1.98e-6 at every cutoff: not an unstable recursion
+    dist = steady_state_sqc(
+        MaserConfig.from_interaction_time(1.0, 1.4 * math.pi, n_th=0.1, n_max=n_max),
+        auto_extend=False,
+    )
+    assert dist.clamped_count > (n_max + 1) / 10
+    assert dist.clamped_mass == pytest.approx(1.98e-6, rel=0.01)
+    assert not dist.unstable
+
+
 def test_distribution_type_rejects_bad_vectors():
     with pytest.raises(ValueError):
         PhotonDistribution(p=np.array([0.5, 0.4]), provenance="recursion-sqc")

@@ -11,6 +11,8 @@ from fluxmaser import (
     transition_table,
 )
 
+from .oracles import dense_levels
+
 COARSE = PhaseGrid(41, 81)
 
 
@@ -52,10 +54,15 @@ def test_k_range_enforced():
         lowest_eigenpairs(op, 9)
 
 
-def test_repeat_solves_identical():
-    # production-size operator exercises the iterative path; the seeded start
-    # vector makes the answer reproducible
-    op = assemble_hamiltonian(CircuitParams(f=0.493, f_s=0.27), PhaseGrid(81, 161))
+def test_levels_match_dense_oracle():
+    op = assemble_hamiltonian(CircuitParams(f=0.493, f_s=0.27), COARSE)
+    assert np.max(np.abs(lowest_eigenpairs(op, 6).levels - dense_levels(op.matrix, 6))) < 1e-12
+
+
+@pytest.mark.parametrize("grid", [COARSE, PhaseGrid(81, 161)], ids=["41x81", "81x161"])
+def test_repeat_solves_identical(grid):
+    # the seeded start vector makes the Lanczos answer reproducible on every grid
+    op = assemble_hamiltonian(CircuitParams(f=0.493, f_s=0.27), grid)
     a = lowest_eigenpairs(op, 4)
     b = lowest_eigenpairs(op, 4)
     assert a.method == "lanczos"
