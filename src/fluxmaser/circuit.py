@@ -15,18 +15,20 @@ with kinetic coefficients fixed by the charging-to-Josephson energy ratio
 The potential is invariant under the half-period translation
 ``(phi_p, phi_q) -> (phi_p + pi, phi_q + 2*pi)``, so the spectrum on the full
 ``[-pi,pi) x [-2pi,2pi)`` torus contains every physical level twice, once per
-symmetry sector.  ``assemble_hamiltonian`` builds one sector: real
-trigonometric modes in ``phi_p`` crossed with finite differences in ``phi_q``
-on the reduced domain ``[-pi, pi)``, with a per-mode boundary sign
-implementing the sector condition.  Physical spectra and matrix elements are
-computed from this operator; the literal finite-difference torus it is
-checked against lives with the test oracles.
+symmetry sector.  ``assemble_hamiltonian`` builds one sector as a Kronecker
+sum over (``phi_p`` mode, ``phi_q`` site): real trigonometric modes in
+``phi_p``, each carrying a finite-difference ring on the reduced domain
+``[-pi, pi)`` whose closing link takes a per-mode sign (the sector
+condition), with the ``cos(phi_p)`` part of the potential coupling
+neighbouring modes.  Physical spectra and matrix elements are computed from
+this operator; the literal finite-difference torus it is checked against
+lives with the test oracles.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Literal
 
 import numpy as np
@@ -89,9 +91,7 @@ class CircuitParams:
         return 8.0 / (self.ej_over_ec * (1.0 + 4.0 * self.gamma))
 
     def replace(self, **kwargs) -> "CircuitParams":
-        from dataclasses import replace as _replace
-
-        return _replace(self, **kwargs)
+        return replace(self, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -172,51 +172,22 @@ def circulating_current(params: CircuitParams, phi_p, phi_q):
 def _sector_modes(n_p: int) -> tuple[np.ndarray, np.ndarray]:
     """Real trigonometric basis bookkeeping for the ``phi_p`` direction.
 
-    Returns ``(m, kind)`` arrays; ``kind`` is 0 for cosine-type (including
-    the constant mode m=0) and 1 for sine-type.  For even sample counts the
-    unpaired top harmonic is dropped so discrete orthonormality stays exact.
+    Returns ``(m, kind)`` arrays in the order ``1, cos(phi), sin(phi),
+    cos(2 phi), sin(2 phi), ...`` up to harmonic ``(n_p - 1)//2``; ``kind`` is
+    0 for cosine-type (including the constant mode m=0) and 1 for sine-type.
+    For even sample counts this drops the unpaired Nyquist harmonic, so
+    discrete orthonormality stays exact.
     """
-    if n_p % 2 == 1:
-        m_max = (n_p - 1) // 2
-    else:
-        m_max = n_p // 2 - 1
-    ms = [0]
-    kinds = [0]
-    for m in range(1, m_max + 1):
-        ms += [m, m]
-        kinds += [0, 1]
-    return np.asarray(ms, dtype=int), np.asarray(kinds, dtype=int)
+    index = np.arange(2 * ((n_p - 1) // 2) + 1)
+    return (index + 1) // 2, ((index > 0) & (index % 2 == 0)).astype(int)
 
 
 def _sector_basis_matrix(phi_p_axis: np.ndarray, ms: np.ndarray, kinds: np.ndarray) -> np.ndarray:
     """Position samples of the orthonormal trig basis, shape (n_p, n_modes)."""
-    n_p = phi_p_axis.size
-    basis = np.empty((n_p, ms.size))
-    for a, (m, kind) in enumerate(zip(ms, kinds)):
-        if m == 0:
-            basis[:, a] = 1.0 / math.sqrt(2.0 * math.pi)
-        elif kind == 0:
-            basis[:, a] = np.cos(m * phi_p_axis) / math.sqrt(math.pi)
-        else:
-            basis[:, a] = np.sin(m * phi_p_axis) / math.sqrt(math.pi)
+    phase = np.outer(phi_p_axis, ms)
+    basis = np.where(kinds == 1, np.sin(phase), np.cos(phase)) / math.sqrt(math.pi)
+    basis[:, 0] = 1.0 / math.sqrt(2.0 * math.pi)
     return basis
-
-
-def _coupling_ladder(ms: np.ndarray, kinds: np.ndarray) -> list[tuple[int, int, float]]:
-    """Matrix elements of ``cos(phi_p)`` between basis modes.
-
-    ``cos`` couples neighbouring harmonics of the same kind with weight 1/2,
-    except the constant-to-first-cosine link whose weight is 1/sqrt(2).
-    """
-    index = {(int(m), int(k)): a for a, (m, k) in enumerate(zip(ms, kinds))}
-    ladder = []
-    m_max = int(ms.max())
-    if m_max >= 1:
-        ladder.append((index[(0, 0)], index[(1, 0)], 1.0 / math.sqrt(2.0)))
-    for m in range(1, m_max):
-        ladder.append((index[(m, 0)], index[(m + 1, 0)], 0.5))
-        ladder.append((index[(m, 1)], index[(m + 1, 1)], 0.5))
-    return ladder
 
 
 @dataclass
@@ -231,7 +202,6 @@ class HamiltonianOperator:
 
     matrix: sp.csr_matrix
     params: CircuitParams
-    grid: PhaseGrid
     phi_p_axis: np.ndarray
     phi_q_axis: np.ndarray
     weight: float
@@ -258,70 +228,52 @@ def assemble_hamiltonian(
 
     The operator is exact in ``phi_p`` (trigonometric modes up to the grid's
     Nyquist harmonic) and second order in ``phi_q`` (3-point finite
-    differences on ``n_q_half`` points).  ``sector`` picks the boundary sign
-    of the half-period translation: ``"even"`` or ``"odd"``.
+    differences on the ``n_q_half``-point ring of step ``h``).  Over
+    (mode of harmonic ``m``, ring site) it is the Kronecker sum::
+
+        H = diag((c_p m^2 + 2 c_q/h^2)[:, None] + U(phi_q))
+            + I_modes (x) chain + diag(wrap) (x) corner
+            + (-2 L) (x) diag(cos(pi f + phi_q/2))
+
+    ``chain`` holds the hops ``-c_q/h^2`` between ring neighbours and
+    ``corner`` the same hop on the link closing the ring, signed per mode by
+    ``wrap = sigma (-1)^m``; ``sigma`` is +1 for ``sector="even"`` and -1 for
+    ``"odd"``.  ``U(phi_q)`` is the ``phi_p``-independent part of the
+    potential, and ``L`` the ``cos(phi_p)`` ladder of the trig basis: 1/2
+    between neighbouring harmonics of one kind, 1/sqrt(2) from the constant
+    mode to ``cos(phi_p)``.
     """
     if sector not in ("even", "odd"):
         raise ValueError(f"sector must be 'even' or 'odd', got {sector!r}")
     sigma = 1.0 if sector == "even" else -1.0
     ms, kinds = _sector_modes(grid.n_p)
-    n_modes = ms.size
-    n_q = grid.n_q_half
-    h_q = grid.h_q_half
-    q_axis = grid.phi_q_half_axis
+    n_modes, n_q, q_axis = ms.size, grid.n_q_half, grid.phi_q_half_axis
+    inv_h2 = 1.0 / (grid.h_q_half * grid.h_q_half)
+    hop = -params.c_q * inv_h2
 
     u_diag = 2.0 + 2.0 * params.gamma * (1.0 - math.cos(math.pi * params.f_s) * np.cos(q_axis))
+    on_site = (params.c_p * ms * ms + 2.0 * params.c_q * inv_h2)[:, None] + u_diag
+    chain = sp.diags([hop, hop], [-1, 1], shape=(n_q, n_q))
+    corner = sp.coo_matrix(([hop, hop], ([0, n_q - 1], [n_q - 1, 0])), shape=(n_q, n_q))
+    wrap = sigma * np.where(ms % 2 == 0, 1.0, -1.0)
+    # cos(phi_p) links each mode to the next harmonic of its kind (index a to
+    # a + 2), and the constant mode to cos(phi_p) at index 1
+    rows, cols = np.r_[0, 1 : n_modes - 2], np.r_[1, 3:n_modes]
+    weights = np.where(rows == 0, 1.0 / math.sqrt(2.0), 0.5)
+    upper = sp.coo_matrix((weights, (rows, cols)), shape=(n_modes, n_modes))
     g_profile = np.cos(math.pi * params.f + q_axis / 2.0)
 
-    blocks_rows: list[np.ndarray] = []
-    blocks_cols: list[np.ndarray] = []
-    blocks_vals: list[np.ndarray] = []
-    j_idx = np.arange(n_q)
-    inv_h2 = 1.0 / (h_q * h_q)
-
-    for a, m in enumerate(ms):
-        base = a * n_q
-        wrap = sigma * (1.0 if m % 2 == 0 else -1.0)
-        diag = params.c_p * m * m + 2.0 * params.c_q * inv_h2 + u_diag
-        blocks_rows.append(base + j_idx)
-        blocks_cols.append(base + j_idx)
-        blocks_vals.append(diag)
-        off = np.full(n_q - 1, -params.c_q * inv_h2)
-        blocks_rows.append(base + j_idx[:-1])
-        blocks_cols.append(base + j_idx[1:])
-        blocks_vals.append(off)
-        blocks_rows.append(base + j_idx[1:])
-        blocks_cols.append(base + j_idx[:-1])
-        blocks_vals.append(off)
-        corner = np.array([-params.c_q * inv_h2 * wrap])
-        blocks_rows.append(np.array([base]))
-        blocks_cols.append(np.array([base + n_q - 1]))
-        blocks_vals.append(corner)
-        blocks_rows.append(np.array([base + n_q - 1]))
-        blocks_cols.append(np.array([base]))
-        blocks_vals.append(corner)
-
-    for a, b, wab in _coupling_ladder(ms, kinds):
-        vals = -2.0 * wab * g_profile
-        blocks_rows.append(a * n_q + j_idx)
-        blocks_cols.append(b * n_q + j_idx)
-        blocks_vals.append(vals)
-        blocks_rows.append(b * n_q + j_idx)
-        blocks_cols.append(a * n_q + j_idx)
-        blocks_vals.append(vals)
-
-    dim = n_modes * n_q
-    ham = sp.coo_matrix(
-        (np.concatenate(blocks_vals), (np.concatenate(blocks_rows), np.concatenate(blocks_cols))),
-        shape=(dim, dim),
-    ).tocsr()
-    basis = _sector_basis_matrix(grid.phi_p_axis, ms, kinds)
+    ham = (
+        sp.diags(on_site.ravel())
+        + sp.kron(sp.identity(n_modes), chain)
+        + sp.kron(sp.diags(wrap), corner)
+        + sp.kron(-2.0 * (upper + upper.T), sp.diags(g_profile))
+    )
     return HamiltonianOperator(
-        matrix=ham,
+        matrix=ham.tocsr(),
         params=params,
-        grid=grid,
         phi_p_axis=grid.phi_p_axis,
         phi_q_axis=q_axis,
-        weight=grid.h_p * h_q,
-        _basis=basis,
+        weight=grid.h_p * grid.h_q_half,
+        _basis=_sector_basis_matrix(grid.phi_p_axis, ms, kinds),
     )

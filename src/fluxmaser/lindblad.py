@@ -36,7 +36,6 @@ __all__ = [
     "generator", "Trajectory", "evolve", "diagonal_generator", "steady_state_nullspace",
 ]
 
-KAPPA = 1.0
 STABILITY_MARGIN = 0.1
 TOP_LEVEL_TOL = 1e-10
 RESIDUAL_BOUND = 1e-8  # max |G p| a trusted steady state may leave
@@ -51,14 +50,15 @@ def validate_density_matrix(
     Raises ``InvariantViolation`` with the worst offender spelled out.
     """
     where = f" ({context})" if context else ""
+    # written so that NaN fails every check
     herm = float(np.max(np.abs(rho - rho.conj().T)))
-    if herm > herm_tol:
+    if not herm <= herm_tol:
         raise InvariantViolation(f"hermiticity violated by {herm:.3e}{where}")
     trace = complex(np.trace(rho))
-    if abs(trace - 1.0) > trace_tol:
+    if not abs(trace - 1.0) <= trace_tol:
         raise InvariantViolation(f"trace deviates from 1 by {abs(trace - 1.0):.3e}{where}")
     diag_min = float(np.min(np.real(np.diag(rho))))
-    if diag_min < diag_floor:
+    if not diag_min >= diag_floor:
         raise InvariantViolation(f"population {diag_min:.3e} below floor{where}")
 
 
@@ -101,14 +101,14 @@ def gain_map(rho: np.ndarray, g_tau: float) -> np.ndarray:
     return out
 
 
-def dissipator(rho: np.ndarray, n_th: float, kappa: float = KAPPA) -> np.ndarray:
+def dissipator(rho: np.ndarray, n_th: float) -> np.ndarray:
     """Thermal-bath Lindblad term with downward and upward photon exchange.
 
     Implemented with shift-and-scale operations (exact, no matrix products),
     using the Lindblad form of the *truncated* ladder operators: the upward
     anticommutator weight is ``diag(1, .., n_max, 0)`` — the top Fock level
     is a reflecting boundary, not a leak — so the trace is annihilated
-    identically for any input.  The mean-photon flow ``-kappa*(<n> - n_th)``
+    identically for any input.  The mean-photon flow ``-(<n> - n_th)``
     is exact whenever the top level is unpopulated.
     """
     size = rho.shape[0]
@@ -125,20 +125,20 @@ def dissipator(rho: np.ndarray, n_th: float, kappa: float = KAPPA) -> np.ndarray
     up_weight[-1] = 0.0
     anti_up = 0.5 * (up_weight[:, None] + up_weight[None, :]) * rho
 
-    return kappa * (n_th + 1.0) * (down - anti_down) + kappa * n_th * (up - anti_up)
+    return (n_th + 1.0) * (down - anti_down) + n_th * (up - anti_up)
 
 
-def generator(rho: np.ndarray, cfg: MaserConfig, kappa: float = KAPPA) -> np.ndarray:
+def generator(rho: np.ndarray, cfg: MaserConfig) -> np.ndarray:
     """Right-hand side ``drho/dt`` of the master equation."""
-    r_a = cfg.n_t * kappa
+    r_a = cfg.n_t
     if r_a == 0.0:
-        return dissipator(rho, cfg.n_th, kappa)
+        return dissipator(rho, cfg.n_th)
     first = gain_map(rho, cfg.g_tau) - rho
     second = gain_map(first, cfg.g_tau) - first
-    return r_a * first - 0.5 * r_a * second + dissipator(rho, cfg.n_th, kappa)
+    return r_a * first - 0.5 * r_a * second + dissipator(rho, cfg.n_th)
 
 
-def _coherence_block(cfg: MaserConfig, d: int, kappa: float = KAPPA) -> sp.csr_matrix:
+def _coherence_block(cfg: MaserConfig, d: int) -> sp.csr_matrix:
     """Generator on the ``d``-th diagonal of rho, as a sparse square block.
 
     Index ``i`` stands for ``rho_{i+d, i}`` (``d >= 0``) or ``rho_{i, i-d}``;
@@ -157,7 +157,7 @@ def _coherence_block(cfg: MaserConfig, d: int, kappa: float = KAPPA) -> sp.csr_m
     a1 = sin_k[d + 1 :] * sin_k[1:size]  # M - 1 below it
     up_weight = np.append(levels[1:], 0.0)  # reflecting top level
     root = np.sqrt(n[1:] * m[1:])
-    down, up, r_a = kappa * (cfg.n_th + 1.0), kappa * cfg.n_th, cfg.n_t * kappa
+    down, up, r_a = cfg.n_th + 1.0, cfg.n_th, cfg.n_t
     # DIA layout: row k holds offset (-2, -1, 0, 1)[k], entry j sits in column j
     data = np.zeros((4, size))
     data[0, :-2] = -0.5 * r_a * a1[1:] * a1[:-1]
@@ -182,14 +182,13 @@ class Trajectory:
 
 
 def evolve(
-    rho0: np.ndarray, cfg: MaserConfig, t_final: float, dt: float, *, record_every: int = 10,
-    kappa: float = KAPPA,
+    rho0: np.ndarray, cfg: MaserConfig, t_final: float, dt: float, *, record_every: int = 10
 ) -> Trajectory:
     """Fixed-step 4th-order Runge-Kutta integration of the master equation.
 
     Before any work, non-positive ``dt``/``t_final`` or ``record_every < 1``
     raise ``ValueError``, and a step outside the stability budget
-    ``dt * (r_a + kappa * (n_th + 1) * n_max) < 0.1`` a ``StabilityError``
+    ``dt * (r_a + (n_th + 1) * n_max) < 0.1`` a ``StabilityError``
     with a workable suggestion.  The generator is assembled once from the
     closed-form blocks; each RK4 stage is one sparse matrix-vector product.
     Hermiticity (1e-10) and trace (1e-9) are enforced at every recorded step,
@@ -200,7 +199,7 @@ def evolve(
     """
     if not (dt > 0 and t_final > 0 and record_every >= 1):
         raise ValueError(f"need dt, t_final > 0, record_every > 0: {dt}, {t_final}, {record_every}")
-    rate_scale = cfg.n_t * kappa + kappa * (cfg.n_th + 1.0) * cfg.n_max
+    rate_scale = cfg.n_t + (cfg.n_th + 1.0) * cfg.n_max
     if dt * rate_scale >= STABILITY_MARGIN:
         suggestion = 0.5 * STABILITY_MARGIN / rate_scale
         raise StabilityError(
@@ -218,7 +217,7 @@ def evolve(
     orders = range(-cfg.n_max, size)
     flat = np.arange(size * size).reshape(size, size)
     unorder = np.argsort(np.concatenate([np.diagonal(flat, -d) for d in orders]))
-    blocks = sp.block_diag([_coherence_block(cfg, d, kappa) for d in orders], format="csr")
+    blocks = sp.block_diag([_coherence_block(cfg, d) for d in orders], format="csr")
     liouvillian = blocks[unorder][:, unorder].astype(complex)  # acts on rho.ravel()
     x = rho0.astype(complex).ravel()
 
@@ -249,12 +248,12 @@ def evolve(
     return Trajectory(*arrays, rho_final=rho, dt=dt, steps=steps)
 
 
-def diagonal_generator(cfg: MaserConfig, kappa: float = KAPPA) -> np.ndarray:
+def diagonal_generator(cfg: MaserConfig) -> np.ndarray:
     """The ``d = 0`` block, dense: column ``n`` is ``d/dt diag(rho)`` at ``rho = |n><n|``."""
-    return _coherence_block(cfg, 0, kappa).toarray()
+    return _coherence_block(cfg, 0).toarray()
 
 
-def steady_state_nullspace(cfg: MaserConfig, kappa: float = KAPPA) -> PhotonDistribution:
+def steady_state_nullspace(cfg: MaserConfig) -> PhotonDistribution:
     """Steady state as the nullspace of the diagonal-sector generator.
 
     The top row of the ``d = 0`` block is replaced by ``sum(p) = 1`` and the
@@ -263,7 +262,7 @@ def steady_state_nullspace(cfg: MaserConfig, kappa: float = KAPPA) -> PhotonDist
     tells whether a clean stationary state exists; above ``RESIDUAL_BOUND``,
     or for a singular solve, ``AmbiguousSteadyStateError`` is raised.
     """
-    block = _coherence_block(cfg, 0, kappa)
+    block = _coherence_block(cfg, 0)
     size = block.shape[0]
     system = sp.vstack([block[:-1], sp.csr_matrix(np.ones((1, size)))], format="csc")
     with warnings.catch_warnings():

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvariantViolation
+
 __all__ = [
     "MaserConfig",
     "PhotonDistribution",
@@ -50,11 +52,11 @@ class MaserConfig:
     n_max: int = 256
 
     def __post_init__(self) -> None:
-        if self.n_th < 0:
+        if not self.n_th >= 0:
             raise ValueError(f"n_th must be >= 0, got {self.n_th}")
-        if self.n_t < 0:
+        if not self.n_t >= 0:
             raise ValueError(f"n_t must be >= 0, got {self.n_t}")
-        if self.g_tau < 0:
+        if not self.g_tau >= 0:
             raise ValueError(f"g_tau must be >= 0, got {self.g_tau}")
         if self.n_max < 4:
             raise ValueError(f"n_max must be >= 4, got {self.n_max}")
@@ -82,8 +84,8 @@ class PhotonDistribution:
 
     ``provenance`` records which route produced it (``recursion-sqc``,
     ``recursion-atomic`` or ``master-equation``).  ``unstable`` means the
-    unnormalized recursion grew beyond a millionfold of its seed (or more
-    than ``CLAMPED_MASS_LIMIT`` of weight had to be clamped);
+    unnormalized three-term sqc recursion grew beyond a millionfold of its
+    seed, or more than ``CLAMPED_MASS_LIMIT`` of weight had to be clamped;
     ``truncation_limited`` means weight is still visible at the top of the
     Fock window.  ``clamped_count`` and ``clamped_mass`` give the number and
     the total weight (in units of ``p``) of the negative components clamped
@@ -104,10 +106,11 @@ class PhotonDistribution:
         return self.p.size - 1
 
     def __post_init__(self) -> None:
+        # written so that NaN fails every check
         total = float(self.p.sum())
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"distribution sums to {total!r}, not 1")
-        if self.p.min() < -1e-12:
+        if not self.p.min() >= -1e-12:
             raise ValueError(f"negative component {self.p.min():.3e} below tolerance")
 
 
@@ -122,11 +125,13 @@ def rabi_s(n, g_tau: float):
 
 
 def _finalize(raw: np.ndarray, provenance: str, unstable: bool) -> PhotonDistribution:
+    if not np.all(np.isfinite(raw)):
+        raise InvariantViolation(f"{provenance}: non-finite unnormalized distribution (overflow)")
     negative = raw[raw < 0]
     raw = np.clip(raw, 0.0, None)
     total = raw.sum()
-    if total <= 0:
-        raise ValueError("steady-state recursion produced no probability mass")
+    if not 0.0 < total < math.inf:
+        raise InvariantViolation(f"{provenance}: unnormalized mass {total!r} cannot be normalized")
     p = raw / total
     # re-normalize once more to push the float sum onto 1 exactly where possible
     p = p / p.sum()
@@ -163,8 +168,9 @@ def _atomic_raw(cfg: MaserConfig) -> tuple[np.ndarray, bool]:
     for n in range(1, cfg.n_max + 1):
         s_n = math.sin(cfg.g_tau * math.sqrt(float(n))) ** 2
         p[n] = p[n - 1] * (cfg.n_th * n + cfg.n_t * s_n) / ((cfg.n_th + 1.0) * n)
-    unstable = bool(np.max(np.abs(p)) > INSTABILITY_FACTOR * p[0])
-    return p, unstable
+    # a product of non-negative factors neither cancels nor clamps, so growth
+    # is no sign of trouble; an overflow is caught by _finalize
+    return p, False
 
 
 def _run(builder, cfg: MaserConfig, provenance: str, auto_extend: bool) -> PhotonDistribution:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import CircuitParams, PhaseGrid, assemble_hamiltonian
+from .circuit import CircuitParams, PhaseGrid, assemble_hamiltonian, circulating_current
 from .errors import DegenerateGapError
 from .spectrum import EigenSpectrum, lowest_eigenpairs
 
@@ -34,13 +34,13 @@ DEGENERACY_FLOOR = 1e-6
 
 
 def transition_element(spec: EigenSpectrum, i: int, j: int) -> float:
-    """``|<E_i| cos(phi_p) sin(pi f + phi_q/2) |E_j>|`` by grid quadrature."""
+    """``|<E_i| I(phi_p, phi_q) |E_j>|`` of the loop current by grid quadrature."""
     pp, qq = np.meshgrid(spec.phi_p_axis, spec.phi_q_axis, indexing="ij")
-    profile = np.cos(pp) * np.sin(math.pi * spec.params.f + qq / 2.0)
+    profile = circulating_current(spec.params, pp, qq)
     return float(abs(np.sum(spec.states[i] * profile * spec.states[j]) * spec.weight))
 
 
-def adiabatic_k(spec: EigenSpectrum, i: int, j: int, *, degeneracy_floor: float = DEGENERACY_FLOOR) -> float:
+def adiabatic_k(spec: EigenSpectrum, i: int, j: int) -> float:
     """Adiabaticity coefficient for a SQUID-flux ramp, in nanoseconds.
 
     ``K_ij = |<i| dH/df_s |j>| / (E_i - E_j)^2`` with the energy scale
@@ -52,16 +52,16 @@ def adiabatic_k(spec: EigenSpectrum, i: int, j: int, *, degeneracy_floor: float 
     Raises
     ------
     DegenerateGapError
-        If ``|E_i - E_j|`` is below ``degeneracy_floor`` (in E_J units): the
+        If ``|E_i - E_j|`` is below ``DEGENERACY_FLOOR`` (in E_J units): the
         pair is effectively crossing and the coefficient diverges.
     """
     params = spec.params
     if params.f_s == 0.0:
         return 0.0
     gap = spec.levels[j] - spec.levels[i]
-    if abs(gap) < degeneracy_floor:
+    if abs(gap) < DEGENERACY_FLOOR:
         raise DegenerateGapError(
-            f"levels {i},{j} separated by {abs(gap):.3e} E_J (< {degeneracy_floor:.0e}): crossing"
+            f"levels {i},{j} separated by {abs(gap):.3e} E_J (< {DEGENERACY_FLOOR:.0e}): crossing"
         )
     _, qq = np.meshgrid(spec.phi_p_axis, spec.phi_q_axis, indexing="ij")
     dpot = 2.0 * math.pi * params.gamma * math.sin(math.pi * params.f_s) * np.cos(qq)

@@ -43,6 +43,44 @@ def torus_hamiltonian(params, grid, zero_potential=False) -> sp.csr_matrix:
     return ham.tocsr()
 
 
+def sector_hamiltonian_dense(params, grid, sector: str) -> np.ndarray:
+    """Sector Hamiltonian written entry by entry from its definition.
+
+    Rows and columns run over (``phi_p`` mode, ``phi_q`` ring site) with the
+    site fastest.  The modes are the orthonormal trig functions
+    ``1/sqrt(2 pi)``, then ``cos(m phi)/sqrt(pi)`` and ``sin(m phi)/sqrt(pi)``
+    for ``m = 1..(n_p - 1)//2``.  Potential matrix elements are ``phi_p``
+    quadratures of the mode products against ``potential``; at even ``n_p``
+    every product stays below the Nyquist harmonic, so they are exact.  The
+    ring of ``n_q_half`` sites closes with the sign each mode picks up under
+    the half-period shift ``phi_p -> phi_p + pi``, times the sector sign.
+    """
+    assert grid.n_p % 2 == 0, "phi_p quadrature is exact only at even n_p"
+    phi_p, h_p = grid.phi_p_axis, grid.h_p
+    modes, harmonics = [lambda x: np.full_like(x, 1.0 / np.sqrt(2.0 * np.pi))], [0]
+    for m in range(1, (grid.n_p - 1) // 2 + 1):
+        modes.append(lambda x, m=m: np.cos(m * x) / np.sqrt(np.pi))
+        modes.append(lambda x, m=m: np.sin(m * x) / np.sqrt(np.pi))
+        harmonics += [m, m]
+    samples = [mode(phi_p) for mode in modes]
+    sigma = {"even": 1.0, "odd": -1.0}[sector]
+    wrap = [sigma * round(h_p * np.sum(mode(phi_p + np.pi) * s)) for mode, s in zip(modes, samples)]
+
+    n_q, hop = grid.n_q_half, params.c_q / grid.h_q_half**2
+    ham = np.zeros((len(modes) * n_q, len(modes) * n_q))
+    for j, phi_q in enumerate(grid.phi_q_half_axis):
+        u = potential(params, phi_p, phi_q)
+        for a in range(len(modes)):
+            row = a * n_q + j
+            ham[row, row] += params.c_p * harmonics[a] ** 2 + 2.0 * hop
+            for k in (j - 1, j + 1):
+                closing = not 0 <= k < n_q  # the link across the ring's seam
+                ham[row, a * n_q + k % n_q] -= hop * (wrap[a] if closing else 1.0)
+            for b in range(len(modes)):
+                ham[row, b * n_q + j] += h_p * np.sum(samples[a] * u * samples[b])
+    return ham
+
+
 def dense_levels(matrix, k: int) -> np.ndarray:
     """The ``k`` lowest eigenvalues by dense LAPACK diagonalization."""
     return eigh(matrix.toarray(), subset_by_index=[0, k - 1], eigvals_only=True)

@@ -15,7 +15,7 @@ from fluxmaser import (
     potential,
 )
 
-from .oracles import dense_levels, torus_hamiltonian
+from .oracles import dense_levels, sector_hamiltonian_dense, torus_hamiltonian
 
 finite_phase = st.floats(-8.0, 8.0, allow_nan=False)
 
@@ -103,6 +103,16 @@ def test_operator_is_symmetric(representation):
         v /= np.linalg.norm(v)
         worst = max(worst, abs(u @ (matrix @ v) - (matrix @ u) @ v))
     assert worst < 1e-12
+
+
+@pytest.mark.parametrize("sector", ["even", "odd"])
+@pytest.mark.parametrize("shape", [(16, 32), (24, 48)], ids=["16x32", "24x48"])
+def test_sector_operator_matches_entrywise_oracle(shape, sector):
+    grid = PhaseGrid(*shape)
+    for f, f_s in ((0.5, 0.0), (0.493, 0.27), (0.213, -0.31)):
+        p = CircuitParams(f=f, f_s=f_s)
+        got = assemble_hamiltonian(p, grid, sector=sector).matrix.toarray()
+        assert np.max(np.abs(got - sector_hamiltonian_dense(p, grid, sector))) < 1e-12
 
 
 def test_torus_operator_applies_potential_to_constants():

@@ -210,6 +210,16 @@ def test_fig4_distributions_normalized(tiny_config, tmp_path):
     assert abs(atomic.sum() - 1.0) < 1e-9
 
 
+def test_fig4_overflow_exits_two_without_csv(tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("maser: {cases: [[1000000.0, 10.0]]}\n")
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["fig4", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
 def test_evolve_reports_steady_state_distance(tiny_config, tmp_path):
     out = tmp_path / "out"
     assert main(["evolve", "--config", str(tiny_config), "--out", str(out)]) == 0

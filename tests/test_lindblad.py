@@ -59,6 +59,22 @@ def test_validate_density_matrix_rejects_defects():
         validate_density_matrix(negative)
 
 
+@pytest.mark.parametrize("where", [(0, 0), (3, 3), (0, 1)])
+def test_validate_density_matrix_rejects_nan(where):
+    rho = thermal_state(0.4, 8)
+    rho[where] = np.nan
+    with pytest.raises(InvariantViolation):
+        validate_density_matrix(rho)
+
+
+def test_evolve_refuses_nan_initial_state():
+    cfg = MaserConfig(n_th=0.1, n_t=1.0, g_tau=1.0, n_max=8)
+    rho0 = fock_state(0, 8)
+    rho0[3, 3] = np.nan
+    with pytest.raises(InvariantViolation, match="initial state"):
+        evolve(rho0, cfg, t_final=0.01, dt=1e-3)
+
+
 def test_state_factories():
     f = fock_state(3, 8)
     assert f[3, 3] == 1.0 and np.trace(f) == 1.0

@@ -15,6 +15,7 @@ from fluxmaser import (
     steady_state_atomic,
     steady_state_sqc,
 )
+from fluxmaser.errors import InvariantViolation
 
 
 def geometric(n_th, size):
@@ -32,6 +33,9 @@ def test_config_validation():
         MaserConfig(g_tau=-0.5)
     with pytest.raises(ValueError):
         MaserConfig(n_max=3)
+    for field in ("n_th", "n_t", "g_tau"):
+        with pytest.raises(ValueError):
+            MaserConfig(**{field: math.nan})
 
 
 def test_interaction_time_round_trip():
@@ -170,6 +174,23 @@ def test_instability_flag_on_large_prenormalization_growth():
     assert dist.p.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_atomic_growth_not_flagged_unstable():
+    # the one-term recursion multiplies non-negative factors, so climbing
+    # towards a far peak neither cancels nor clamps: not an instability
+    dist = steady_state_atomic(MaserConfig.from_interaction_time(100.0, 10 * math.pi, n_th=0.1))
+    assert not dist.unstable
+    assert dist.clamped_count == 0
+
+
+@pytest.mark.parametrize("solver", [steady_state_sqc, steady_state_atomic])
+def test_overflowing_recursion_raises(solver):
+    # at n_t = 1e6, tau = 10 pi the unnormalized recursions overflow to inf/NaN
+    cfg = MaserConfig.from_interaction_time(1e6, 10 * math.pi, n_th=0.1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InvariantViolation, match="non-finite"):
+            solver(cfg)
+
+
 @pytest.mark.parametrize("n_max", [32, 256, 512])
 def test_headline_point_not_flagged_unstable(n_max):
     # many tail components clamp (cancellation noise), but the clamped weight
@@ -189,3 +210,6 @@ def test_distribution_type_rejects_bad_vectors():
     bad = np.array([1.1, -0.1])
     with pytest.raises(ValueError):
         PhotonDistribution(p=bad, provenance="recursion-sqc")
+    for nan in (np.full(4, np.nan), np.array([np.nan, 1.0])):
+        with pytest.raises(ValueError):
+            PhotonDistribution(p=nan, provenance="recursion-sqc")
