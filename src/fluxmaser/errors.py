@@ -9,17 +9,6 @@ class ConvergenceError(RuntimeError):
     """An eigensolve finished but residuals exceed the accepted bound."""
 
 
-class StabilityError(ValueError):
-    """Requested integrator step violates the explicit stability bound.
-
-    Carries a usable suggestion in ``suggested_dt``.
-    """
-
-    def __init__(self, message: str, suggested_dt: float):
-        super().__init__(message)
-        self.suggested_dt = suggested_dt
-
-
 class DegenerateGapError(ValueError):
     """A transition-rate denominator sits below the degeneracy floor."""
 

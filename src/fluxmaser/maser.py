@@ -124,7 +124,7 @@ def rabi_s(n, g_tau: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _finalize(raw: np.ndarray, provenance: str, unstable: bool) -> PhotonDistribution:
+def _finalize(raw: np.ndarray, provenance: str) -> PhotonDistribution:
     if not np.all(np.isfinite(raw)):
         raise InvariantViolation(f"{provenance}: non-finite unnormalized distribution (overflow)")
     negative = raw[raw < 0]
@@ -138,7 +138,6 @@ def _finalize(raw: np.ndarray, provenance: str, unstable: bool) -> PhotonDistrib
     return PhotonDistribution(
         p=p,
         provenance=provenance,
-        unstable=unstable,
         truncation_limited=bool(p[-1] >= TAIL_TOL),
         clamped_count=negative.size,
         clamped_mass=float((-negative).sum() / total),
@@ -176,8 +175,10 @@ def _atomic_raw(cfg: MaserConfig) -> tuple[np.ndarray, bool]:
 def _run(builder, cfg: MaserConfig, provenance: str, auto_extend: bool) -> PhotonDistribution:
     current = cfg
     while True:
-        raw, grew = builder(current)
-        dist = _finalize(raw, provenance, grew)
+        # an overflow is reported by _finalize's non-finite check
+        with np.errstate(over="ignore", invalid="ignore"):
+            raw, grew = builder(current)
+        dist = _finalize(raw, provenance)
         # a recursion that had to clamp away real weight has gone unstable;
         # the count is no guide, cancellation noise in the tail clamps freely
         dist.unstable = grew or dist.clamped_mass > CLAMPED_MASS_LIMIT

@@ -73,12 +73,10 @@ def lowest_eigenpairs(
     k: int = 4,
     *,
     seed: int = 0,
-    resolve_degeneracies: bool = True,
 ) -> EigenSpectrum:
     """Compute the ``k`` lowest eigenpairs of a circuit Hamiltonian.
 
-    When ``resolve_degeneracies`` is set (default), eigenvectors inside any
-    near-degenerate cluster (consecutive gaps below
+    Eigenvectors inside any near-degenerate cluster (consecutive gaps below
     ``DEFAULT_DEGENERACY_TOL`` E_J) are rotated to diagonalize the
     loop-current drive profile.  That is the limiting adiabatic basis at a
     level crossing (the flux derivative of the Hamiltonian is proportional
@@ -111,19 +109,18 @@ def lowest_eigenpairs(
 
     states = np.stack([op.to_position(vecs[:, i]) for i in range(k)])
 
-    if resolve_degeneracies:
-        groups = [g for g in _degenerate_groups(vals) if len(g) > 1]
-        if groups:
-            pp, qq = np.meshgrid(op.phi_p_axis, op.phi_q_axis, indexing="ij")
-            drive = -circulating_current(op.params, pp, qq)
-            for group in groups:
-                block = np.empty((len(group), len(group)))
-                for ia, a in enumerate(group):
-                    for ib, b in enumerate(group):
-                        block[ia, ib] = np.sum(states[a] * drive * states[b]) * op.weight
-                block = 0.5 * (block + block.T)
-                _, rot = scipy.linalg.eigh(block)
-                states[group] = np.tensordot(rot.T, states[group], axes=1)
+    groups = [g for g in _degenerate_groups(vals) if len(g) > 1]
+    if groups:
+        pp, qq = np.meshgrid(op.phi_p_axis, op.phi_q_axis, indexing="ij")
+        drive = -circulating_current(op.params, pp, qq)
+        for group in groups:
+            block = np.empty((len(group), len(group)))
+            for ia, a in enumerate(group):
+                for ib, b in enumerate(group):
+                    block[ia, ib] = np.sum(states[a] * drive * states[b]) * op.weight
+            block = 0.5 * (block + block.T)
+            _, rot = scipy.linalg.eigh(block)
+            states[group] = np.tensordot(rot.T, states[group], axes=1)
 
     for i in range(k):
         flat = states[i].ravel()

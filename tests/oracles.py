@@ -147,17 +147,16 @@ def nullspace_vector(matrix: np.ndarray) -> np.ndarray:
     return vec / vec.sum()
 
 
-def rk4_reference(rho0: np.ndarray, cfg, dt: float, steps: int) -> np.ndarray:
-    """Fixed-step RK4 over the matrix-form ``generator``, one call per stage."""
+def expm_reference(rho0: np.ndarray, cfg, t: float) -> np.ndarray:
+    """``exp(G t) rho0`` by dense ``expm``, ``G`` probed from the matrix-form ``generator``."""
     from fluxmaser.lindblad import generator
 
-    rho = rho0.astype(complex)
+    size = rho0.shape[0]
+    superop = np.empty((size * size, size * size), dtype=complex)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
-        for _ in range(steps):
-            k1 = generator(rho, cfg)
-            k2 = generator(rho + 0.5 * dt * k1, cfg)
-            k3 = generator(rho + 0.5 * dt * k2, cfg)
-            k4 = generator(rho + dt * k3, cfg)
-            rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return rho
+        for col in range(size * size):
+            basis = np.zeros(size * size, dtype=complex)
+            basis[col] = 1.0
+            superop[:, col] = generator(basis.reshape(size, size), cfg).ravel()
+    return (expm(superop * t) @ rho0.astype(complex).ravel()).reshape(size, size)

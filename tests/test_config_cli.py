@@ -2,6 +2,7 @@
 
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -214,7 +215,8 @@ def test_fig4_overflow_exits_two_without_csv(tmp_path, capsys):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text("maser: {cases: [[1000000.0, 10.0]]}\n")
     out = tmp_path / "out"
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert main(["fig4", "--config", str(cfg), "--out", str(out)]) == 2
     assert "non-finite" in capsys.readouterr().err
     assert not list(out.glob("*.csv"))
@@ -230,12 +232,20 @@ def test_evolve_reports_steady_state_distance(tiny_config, tmp_path):
     assert float(body[-1][1]) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_evolve_rejects_bad_step_with_suggestion(tmp_path, capsys):
-    cfg = tmp_path / "cfg.yaml"
-    cfg.write_text("evolve: {n_max: 16, dt: 0.02, t_final: 1.0}\n")
-    assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err
-    assert "try dt=" in err
+def test_evolve_final_row_independent_of_sampling_step(tmp_path):
+    # dt sets only the sampled times, not an integrator step
+    finals = []
+    for name, block in (("coarse", "dt: 0.02"), ("fine", "dt: 0.002, record_every: 500")):
+        cfg = tmp_path / f"{name}.yaml"
+        cfg.write_text(f"evolve: {{n_max: 16, {block}, t_final: 1.0}}\n")
+        out = tmp_path / name
+        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+        _, _, body = read_rows(out / "evolve.csv")
+        finals.append(body[-1])
+    assert finals[0][0] == finals[1][0] == "1"
+    np.testing.assert_allclose(
+        np.array(finals[0], dtype=float), np.array(finals[1], dtype=float), rtol=0, atol=1e-11
+    )
 
 
 @pytest.mark.parametrize(

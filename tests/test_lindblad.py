@@ -10,7 +10,6 @@ from fluxmaser import MaserConfig
 from fluxmaser.errors import (
     AmbiguousSteadyStateError,
     InvariantViolation,
-    StabilityError,
     TruncationWarning,
 )
 from fluxmaser.lindblad import (
@@ -28,7 +27,7 @@ from fluxmaser.lindblad import (
 )
 from fluxmaser.maser import steady_state_atomic, steady_state_sqc
 
-from .oracles import joint_gain_oracle, nullspace_vector, probed_diagonal_generator, rk4_reference
+from .oracles import expm_reference, joint_gain_oracle, nullspace_vector, probed_diagonal_generator
 
 
 def random_density(size, seed, support=None):
@@ -209,9 +208,8 @@ def test_first_order_generator_nullspace_is_the_atomic_recursion():
 )
 def test_evolve_rejects_nonpositive_inputs(t_final, dt, record_every):
     cfg = MaserConfig(n_th=0.1, n_t=1.0, g_tau=1.0, n_max=8)
-    with pytest.raises(ValueError, match="need dt") as exc:
+    with pytest.raises(ValueError, match="need dt"):
         evolve(fock_state(0, 8), cfg, t_final, dt, record_every=record_every)
-    assert not isinstance(exc.value, StabilityError)
 
 
 def test_evolve_warns_when_top_level_populated():
@@ -220,13 +218,6 @@ def test_evolve_warns_when_top_level_populated():
     rho0[0, 0], rho0[8, 8] = 1.0 - 1e-8, 1e-8
     with pytest.warns(TruncationWarning, match="top Fock level"):
         evolve(rho0, cfg, t_final=0.01, dt=1e-3)
-
-
-def test_evolve_rejects_unstable_step():
-    cfg = MaserConfig(n_th=0.1, n_t=1.0, g_tau=1.0, n_max=32)
-    with pytest.raises(StabilityError, match="try dt") as exc:
-        evolve(fock_state(0, 32), cfg, t_final=1.0, dt=0.01)
-    assert exc.value.suggested_dt < 0.01
 
 
 def test_evolve_rejects_shape_mismatch():
@@ -258,15 +249,45 @@ def pumped_long_run():
     return cfg, traj
 
 
-def test_evolve_matches_reference_rk4_from_coherent_state(pumped_long_run):
+def test_evolve_matches_exact_reference_from_coherent_state(pumped_long_run):
     cfg, _ = pumped_long_run
     psi = np.zeros(33)
     psi[0] = psi[1] = 1.0 / math.sqrt(2.0)
     rho0 = np.outer(psi, psi).astype(complex)
     traj = evolve(rho0, cfg, t_final=0.4, dt=2e-3, record_every=50)
     assert traj.steps == 200
-    reference = rk4_reference(rho0, cfg, dt=2e-3, steps=200)
+    reference = expm_reference(rho0, cfg, 0.4)
     assert np.max(np.abs(traj.rho_final - reference)) < 1e-12
+
+
+def test_evolve_final_state_independent_of_sampling_step():
+    # dt sets only the sampled times, not an integrator step
+    cfg = MaserConfig(n_th=0.1, n_t=1.0, g_tau=1.0, n_max=32)
+    coarse = evolve(fock_state(0, 32), cfg, t_final=1.0, dt=0.01)
+    fine = evolve(fock_state(0, 32), cfg, t_final=1.0, dt=2e-3)
+    assert coarse.steps == 100 and fine.steps == 500
+    assert np.max(np.abs(coarse.rho_final - fine.rho_final)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "n_t, tau_over_pi, n_max, t_final",
+    [(1.0, 1.4, 32, 20.0), (100.0, 10.0, 64, 1.0)],
+    ids=["headline", "strong-pump"],
+)
+def test_evolve_ignores_global_random_state(n_t, tau_over_pi, n_max, t_final):
+    # one record interval of norm * t far above scipy's exact-norm threshold,
+    # where expm_multiply would otherwise estimate norms from np.random
+    cfg = MaserConfig.from_interaction_time(n_t, tau_over_pi * math.pi, n_th=0.1, n_max=n_max)
+    dt = 1e-3
+    steps = int(round(t_final / dt))
+    finals = []
+    for seed in (0, 12345):
+        np.random.seed(seed)
+        state = np.random.get_state()
+        traj = evolve(fock_state(0, n_max), cfg, t_final, dt, record_every=steps)
+        assert all(np.array_equal(a, b) for a, b in zip(state, np.random.get_state()))
+        finals.append(traj.rho_final)
+    assert np.array_equal(finals[0], finals[1])
 
 
 def test_long_run_trace_conserved(pumped_long_run):
