@@ -198,10 +198,13 @@ class HamiltonianOperator:
     mode, ``phi_q`` sample); ``to_position`` maps such vectors to real
     wavefunction samples on ``(phi_p_axis, phi_q_axis)``, unit-normalized
     under the quadrature weight ``weight = h_p * h_q_half``.
+    ``lower_bound`` is a floor on the spectrum: every eigenvalue of
+    ``matrix`` is at least this value.
     """
 
     matrix: sp.csr_matrix
     params: CircuitParams
+    lower_bound: float
     phi_p_axis: np.ndarray
     phi_q_axis: np.ndarray
     weight: float
@@ -242,6 +245,9 @@ def assemble_hamiltonian(
     potential, and ``L`` the ``cos(phi_p)`` ladder of the trig basis: 1/2
     between neighbouring harmonics of one kind, 1/sqrt(2) from the constant
     mode to ``cos(phi_p)``.
+
+    ``lower_bound`` is ``min(U(phi_q) - 2 |cos(pi f + phi_q/2)|)`` over the
+    ring sites, the grid minimum of the potential at ``cos(phi_p) = +-1``.
     """
     if sector not in ("even", "odd"):
         raise ValueError(f"sector must be 'even' or 'odd', got {sector!r}")
@@ -269,9 +275,15 @@ def assemble_hamiltonian(
         + sp.kron(sp.diags(wrap), corner)
         + sp.kron(-2.0 * (upper + upper.T), sp.diags(g_profile))
     )
+    # H >= lower_bound: the kinetic part is positive semidefinite (c_p m^2 >= 0,
+    # and the ring Laplacian with either closing sign is >= 0), and L is a
+    # principal submatrix of the cos(phi_p) multiplication operator in an
+    # orthonormal basis, so ||L||_2 <= 1 and each site's potential block
+    # U - 2 g L is >= U - 2|g|
     return HamiltonianOperator(
         matrix=ham.tocsr(),
         params=params,
+        lower_bound=float(np.min(u_diag - 2.0 * np.abs(g_profile))),
         phi_p_axis=grid.phi_p_axis,
         phi_q_axis=q_axis,
         weight=grid.h_p * grid.h_q_half,

@@ -36,6 +36,7 @@ from .transitions import PointRecord, point_record
 
 WORKERS_ENV = "FLUXMASER_WORKERS"
 MAX_FAILURE_FRACTION = 0.01
+BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _fmt(value: float, digits: int) -> str:
@@ -66,11 +67,25 @@ def _resolve_workers(flag: int | None, cfg: RunConfig) -> int:
 
 
 def _parallel_map(func, tasks, workers: int):
+    """``map`` over a pool of spawned workers, each with one BLAS thread.
+
+    BLAS reads its thread count when it loads, so the variables are set in
+    this process while the pool spawns (the workers inherit them) and then
+    put back exactly as they were.
+    """
     if workers <= 1 or len(tasks) <= 1:
         return [func(task) for task in tasks]
-    ctx = get_context("fork" if sys.platform != "win32" else "spawn")
-    with ctx.Pool(processes=min(workers, len(tasks))) as pool:
-        return pool.map(func, tasks, chunksize=1)
+    saved = {name: os.environ.get(name) for name in BLAS_THREAD_ENV}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_ENV, "1"))
+    try:
+        with get_context("spawn").Pool(processes=min(workers, len(tasks))) as pool:
+            return pool.map(func, tasks, chunksize=1)
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
 
 
 # spectral command -> (SweepBlock field listing its f_s values, one CSV per

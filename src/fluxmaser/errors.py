@@ -9,8 +9,11 @@ class ConvergenceError(RuntimeError):
     """An eigensolve finished but residuals exceed the accepted bound."""
 
 
-class DegenerateGapError(ValueError):
-    """A transition-rate denominator sits below the degeneracy floor."""
+class DegenerateGapError(RuntimeError):
+    """A transition-rate denominator sits below the degeneracy floor.
+
+    A numerical condition of the solved spectrum, not a bad input.
+    """
 
 
 class AmbiguousSteadyStateError(RuntimeError):

@@ -240,17 +240,22 @@ def test_outputs_independent_of_blas_thread_count(tmp_path):
     src = str(Path(fluxmaser.__file__).resolve().parents[1])
     outputs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=src)
-        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
-        out = tmp_path / f"threads_{threads}"
-        for command in ("fig2", "fig3", "sweep"):
-            subprocess.run(
-                [sys.executable, "-m", "fluxmaser.cli", command, "--config", str(cfg),
-                 "--out", str(out), "--workers", "1"],
-                env=env, check=True, capture_output=True, timeout=600,
+        for workers in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src)
+            env.update(
+                OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads
             )
-        outputs.append(sorted(out.glob("*.csv")))
-    assert [p.name for p in outputs[0]] == [p.name for p in outputs[1]]
-    assert len(outputs[0]) == 5
-    for one, two in zip(*outputs):
-        assert filecmp.cmp(one, two, shallow=False), f"{one.name} depends on the thread count"
+            out = tmp_path / f"threads_{threads}_workers_{workers}"
+            for command in ("fig2", "fig3", "sweep"):
+                subprocess.run(
+                    [sys.executable, "-m", "fluxmaser.cli", command, "--config", str(cfg),
+                     "--out", str(out), "--workers", workers],
+                    env=env, check=True, capture_output=True, timeout=600,
+                )
+            outputs.append((out.name, sorted(out.glob("*.csv"))))
+    (_, first), *rest = outputs
+    assert len(first) == 5
+    for label, files in rest:
+        assert [p.name for p in files] == [p.name for p in first]
+        for one, other in zip(first, files):
+            assert filecmp.cmp(one, other, shallow=False), f"{one.name} differs at {label}"

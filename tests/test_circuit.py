@@ -15,6 +15,7 @@ from fluxmaser import (
     potential,
 )
 
+from .conftest import random_operators
 from .oracles import dense_levels, sector_hamiltonian_dense, torus_hamiltonian
 
 finite_phase = st.floats(-8.0, 8.0, allow_nan=False)
@@ -113,6 +114,14 @@ def test_sector_operator_matches_entrywise_oracle(shape, sector):
         p = CircuitParams(f=f, f_s=f_s)
         got = assemble_hamiltonian(p, grid, sector=sector).matrix.toarray()
         assert np.max(np.abs(got - sector_hamiltonian_dense(p, grid, sector))) < 1e-12
+
+
+def test_lower_bound_below_ground_state():
+    # the shift-invert point must sit under the whole spectrum, down to the
+    # deep-well limit where the ground state nearly touches the potential floor
+    for label, op in random_operators():
+        ground = dense_levels(op.matrix, 1)[0]
+        assert op.lower_bound <= ground, f"{label}: bound {op.lower_bound} > E0 {ground}"
 
 
 def test_torus_operator_applies_potential_to_constants():

@@ -2,13 +2,21 @@
 
 import csv
 import math
+import os
 import warnings
 
 import numpy as np
 import pytest
 
 from fluxmaser import CircuitParams, PhaseGrid, transition_table
-from fluxmaser.cli import WORKERS_ENV, _fmt, _resolve_workers, main
+from fluxmaser.cli import (
+    BLAS_THREAD_ENV,
+    WORKERS_ENV,
+    _fmt,
+    _parallel_map,
+    _resolve_workers,
+    main,
+)
 from fluxmaser.config import OutputBlock, RunConfig, config_digest, load_config
 from fluxmaser.errors import ConfigError
 
@@ -158,6 +166,19 @@ def test_bad_worker_env_rejected(monkeypatch):
     monkeypatch.delenv(WORKERS_ENV)
     with pytest.raises(ConfigError):
         _resolve_workers(-3, RunConfig())
+
+
+@pytest.mark.parametrize("preset", ["3", None], ids=["preset", "absent"])
+def test_pool_workers_see_one_blas_thread(monkeypatch, preset):
+    if preset is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+    before = dict(os.environ)
+    assert _parallel_map(os.getenv, list(BLAS_THREAD_ENV), workers=2) == ["1"] * 3
+    # the parent's environment comes back exactly, absent variables included
+    assert dict(os.environ) == before
+    assert os.environ.get("OPENBLAS_NUM_THREADS") == preset
 
 
 def test_nonpositive_workers_flag_exits_one(tiny_config, tmp_path, capsys):

@@ -11,6 +11,7 @@ from fluxmaser import (
     transition_table,
 )
 
+from .conftest import random_operators
 from .oracles import dense_levels
 
 COARSE = PhaseGrid(41, 81)
@@ -55,8 +56,10 @@ def test_k_range_enforced():
 
 
 def test_levels_match_dense_oracle():
-    op = assemble_hamiltonian(CircuitParams(f=0.493, f_s=0.27), COARSE)
-    assert np.max(np.abs(lowest_eigenpairs(op, 6).levels - dense_levels(op.matrix, 6))) < 1e-12
+    operating = assemble_hamiltonian(CircuitParams(f=0.493, f_s=0.27), COARSE)
+    for label, op in [("41x81 operating point", operating), *random_operators()]:
+        error = np.max(np.abs(lowest_eigenpairs(op, 6).levels - dense_levels(op.matrix, 6)))
+        assert error < 1e-12, f"{label}: Lanczos levels off the dense oracle by {error:.3e}"
 
 
 @pytest.mark.parametrize("grid", [COARSE, PhaseGrid(81, 161)], ids=["41x81", "81x161"])
@@ -66,6 +69,8 @@ def test_repeat_solves_identical(grid):
     a = lowest_eigenpairs(op, 4)
     b = lowest_eigenpairs(op, 4)
     assert a.method == "lanczos"
+    assert a.shift <= a.levels[0]
+    assert a.solves > 0 and a.solves == b.solves
     assert np.max(np.abs(a.levels - b.levels)) < 1e-12
     assert np.max(np.abs(a.states - b.states)) < 1e-12
 

@@ -106,6 +106,13 @@ def test_degenerate_pair_rejected(spec_resonant):
         adiabatic_k(doctored, 0, 1)
 
 
+def test_degenerate_gap_is_numerical_error():
+    # a crossing is a property of the solved spectrum, not a bad input: it
+    # belongs with the numerical errors (exit 2), not the validation ones
+    assert issubclass(DegenerateGapError, RuntimeError)
+    assert not issubclass(DegenerateGapError, ValueError)
+
+
 def test_ramp_numerator_matches_finite_difference():
     # the analytic screening-flux derivative must agree with a first-order
     # finite difference of the potential between the same two eigenstates
