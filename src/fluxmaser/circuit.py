@@ -75,6 +75,9 @@ class CircuitParams:
     ej_freq: float = 400.0
 
     def __post_init__(self) -> None:
+        for name in ("gamma", "ej_over_ec", "f", "f_s", "ej_freq"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.gamma > 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
         if not self.ej_over_ec > 0:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, fields
 
 import yaml
 
+from .circuit import CircuitParams
 from .errors import ConfigError
 from .spectrum import MAX_K
 
@@ -41,6 +42,8 @@ class CircuitBlock:
     def __post_init__(self) -> None:
         if self.sector not in ("even", "odd"):
             raise ValueError(f"sector must be 'even' or 'odd', got {self.sector!r}")
+        # the energy scales are checked here, before any command uses them
+        CircuitParams(gamma=self.gamma, ej_over_ec=self.ej_over_ec, ej_freq=self.ej_freq)
 
 
 @dataclass(frozen=True)
@@ -54,6 +57,12 @@ class SweepBlock:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("f_start", "f_stop"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("f_s_values", "ramp_f_s_values"):
+            if not all(math.isfinite(x) for x in getattr(self, name)):
+                raise ValueError(f"{name} entries must be finite, got {list(getattr(self, name))}")
         if self.f_points < 1:
             raise ValueError(f"f_points must be >= 1, got {self.f_points}")
         # an empty list would make its commands exit 0 with no rows at all
@@ -109,6 +118,12 @@ class CavityBlock:
     t_01: float = 0.13
     n_t: float = 1.0
     interaction_phase_over_pi: float = 1.4
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{f.name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)

@@ -75,7 +75,9 @@ class PointRecord:
 
     ``levels`` holds the ``k`` lowest levels in E_J; ``t_ij`` are transition
     amplitudes and ``k_ij`` ramp coefficients in ns, NaN where the pair is
-    closer than the degeneracy floor (a crossing).
+    closer than the degeneracy floor (a crossing).  ``shift``, ``solves``,
+    ``harmonics`` and ``max_residual`` are the eigensolver's diagnostics, as
+    reported by :class:`EigenSpectrum`.
     """
 
     levels: np.ndarray
@@ -84,6 +86,10 @@ class PointRecord:
     t_12: float
     k_01: float
     k_12: float
+    shift: float
+    solves: int
+    harmonics: int
+    max_residual: float
 
 
 def point_record(
@@ -117,6 +123,10 @@ def point_record(
         t_12=transition_element(spec, 1, 2),
         k_01=ramps[0],
         k_12=ramps[1],
+        shift=spec.shift,
+        solves=spec.solves,
+        harmonics=spec.harmonics,
+        max_residual=float(spec.residuals.max()),
     )
 
 

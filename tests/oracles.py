@@ -9,6 +9,7 @@ import warnings
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.linalg import eigh, expm
 
 from fluxmaser.circuit import potential
@@ -84,6 +85,17 @@ def sector_hamiltonian_dense(params, grid, sector: str) -> np.ndarray:
 def dense_levels(matrix, k: int) -> np.ndarray:
     """The ``k`` lowest eigenvalues by dense LAPACK diagonalization."""
     return eigh(matrix.toarray(), subset_by_index=[0, k - 1], eigvals_only=True)
+
+
+def full_basis_levels(op, k: int) -> np.ndarray:
+    """Lowest ``k`` levels of the whole sector operator by plain shift-invert ``eigsh``.
+
+    Every ``phi_p`` harmonic is kept, and the start vector is drawn from a
+    seed the library does not use.
+    """
+    v0 = np.random.RandomState(7919).standard_normal(op.dimension)
+    vals = spla.eigsh(op.matrix, k=k, sigma=op.lower_bound, which="LM", v0=v0, tol=0)[0]
+    return np.sort(vals)
 
 
 def joint_gain_oracle(rho: np.ndarray, g_tau: float) -> np.ndarray:

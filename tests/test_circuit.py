@@ -1,5 +1,7 @@
 """Potential landscape, circulating current, and Hamiltonian assembly."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,6 +36,13 @@ def test_params_reject_nonpositive_inputs():
         CircuitParams(ej_over_ec=-1.0)
     with pytest.raises(ValueError):
         CircuitParams(ej_freq=0.0)
+
+
+@pytest.mark.parametrize("name", ["gamma", "ej_over_ec", "f", "f_s", "ej_freq"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite_inputs(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        CircuitParams(**{name: value})
 
 
 def test_effective_alpha_landmarks():

@@ -288,6 +288,31 @@ def test_evolve_rejects_bad_inputs_up_front(block, tmp_path, capsys):
     assert not (out / "evolve.csv").exists()
 
 
+@pytest.mark.parametrize(
+    ("command", "snippet", "key"),
+    [
+        ("sweep", "sweep: {f_start: .nan}", "f_start"),
+        ("sweep", "sweep: {f_stop: .inf}", "f_stop"),
+        ("sweep", "sweep: {f_s_values: [.inf]}", "f_s_values"),
+        ("fig3", "sweep: {ramp_f_s_values: [0.27, .nan]}", "ramp_f_s_values"),
+        ("fig3", "circuit: {ej_freq: .inf}", "ej_freq"),
+        ("fig2", "circuit: {ej_over_ec: .nan}", "ej_over_ec"),
+        ("estimate-device", "cavity: {gap_over_ej: .nan}", "gap_over_ej"),
+        ("estimate-device", "cavity: {t_01: 0}", "t_01"),
+        ("estimate-device", "cavity: {gap_over_ej: -0.05}", "gap_over_ej"),
+        ("estimate-device", "cavity: {n_t: -1.0}", "n_t"),
+        ("estimate-device", "cavity: {quality: .inf}", "quality"),
+    ],
+)
+def test_non_finite_or_nonpositive_inputs_exit_one(command, snippet, key, tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(snippet + "\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert key in capsys.readouterr().err
+    assert not out.exists() or not os.listdir(out)
+
+
 def test_estimate_device_prints_and_writes(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["estimate-device", "--out", str(out)]) == 0

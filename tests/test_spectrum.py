@@ -2,19 +2,24 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from fluxmaser import (
     CircuitParams,
     PhaseGrid,
+    adiabatic_k,
     assemble_hamiltonian,
     lowest_eigenpairs,
+    transition_element,
     transition_table,
 )
+from fluxmaser import spectrum
 
-from .conftest import random_operators
-from .oracles import dense_levels
+from .conftest import PRODUCTION_GRID, random_operators
+from .oracles import dense_levels, full_basis_levels
 
 COARSE = PhaseGrid(41, 81)
+PRODUCTION = PhaseGrid(*PRODUCTION_GRID)
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +76,7 @@ def test_repeat_solves_identical(grid):
     assert a.method == "lanczos"
     assert a.shift <= a.levels[0]
     assert a.solves > 0 and a.solves == b.solves
+    assert a.harmonics == b.harmonics
     assert np.max(np.abs(a.levels - b.levels)) < 1e-12
     assert np.max(np.abs(a.states - b.states)) < 1e-12
 
@@ -98,3 +104,68 @@ def test_sweep_deterministic():
     a = transition_table(CircuitParams(f_s=0.22), COARSE, f_values, k=4)
     b = transition_table(CircuitParams(f_s=0.22), COARSE, f_values, k=4)
     assert np.max(np.abs(a.levels - b.levels)) < 1e-12
+
+
+# -- certified phi_p harmonic truncation -------------------------------------
+
+
+def _padded_residual(op, harmonics):
+    """Largest full-operator residual of the zero-padded block eigenvectors."""
+    vals, vecs, _ = spectrum._solve_block(op, 6, 0, harmonics)
+    return max(np.linalg.norm(op.matrix @ vecs[:, i] - vals[i] * vecs[:, i]) for i in range(6))
+
+
+def _gate_bound(op):
+    return spectrum._residual_bound(spla.norm(op.matrix, np.inf))
+
+
+def test_coarse_grid_keeps_every_harmonic(coarse_spec):
+    # 41 phi_p samples carry harmonics up to 20, all below the starting cutoff
+    assert coarse_spec.harmonics == (COARSE.n_p - 1) // 2
+
+
+def test_gate_sees_a_too_hard_truncation():
+    # dropping harmonics the states use shows up in the full-operator
+    # residual: a block of m <= 12 would fail the unchanged gate
+    op = assemble_hamiltonian(CircuitParams(f=0.493, f_s=0.27), PRODUCTION)
+    assert _padded_residual(op, 12) > _gate_bound(op)
+    assert _padded_residual(op, 20) < spectrum.TRUNCATION_TARGET * _gate_bound(op)
+
+
+def test_deep_wells_keep_more_harmonics():
+    # E_J/E_c = 1e3 narrows the phi_p wells, so the states reach higher harmonics
+    op = assemble_hamiltonian(CircuitParams(f=0.493, f_s=0.27, ej_over_ec=1e3), PRODUCTION)
+    assert _padded_residual(op, 20) > _gate_bound(op)
+    spec = lowest_eigenpairs(op, 6)
+    assert 20 < spec.harmonics <= (PRODUCTION.n_p - 1) // 2
+    assert np.max(np.abs(spec.levels - full_basis_levels(op, 6))) < 1e-12
+
+
+def test_low_start_widens_to_a_certified_cutoff(monkeypatch):
+    op = assemble_hamiltonian(CircuitParams(f=0.493, f_s=0.27), PRODUCTION)
+    default = lowest_eigenpairs(op, 6)
+    monkeypatch.setattr(spectrum, "_start_harmonics", lambda params: 6)
+    widened = lowest_eigenpairs(op, 6)
+    assert widened.harmonics == 24  # 6 and 12 miss the target, 24 meets it
+    assert widened.solves > default.solves
+    assert widened.residuals.max() <= spectrum.TRUNCATION_TARGET * _gate_bound(op)
+    assert np.max(np.abs(widened.levels - default.levels)) < 1e-12
+
+
+@pytest.mark.parametrize("point", ["spec_resonant", "spec_offres", "spec_crossing"])
+def test_truncated_solve_matches_full_basis(point, request, monkeypatch):
+    spec = request.getfixturevalue(point)
+    op = assemble_hamiltonian(spec.params, PRODUCTION)
+    assert spec.harmonics < (PRODUCTION.n_p - 1) // 2
+    assert np.max(np.abs(spec.levels - full_basis_levels(op, 6))) < 1e-12
+    monkeypatch.setattr(spectrum, "_start_harmonics", lambda params: PRODUCTION.n_p)
+    full = lowest_eigenpairs(op, 6)
+    assert full.harmonics == (PRODUCTION.n_p - 1) // 2
+    # parity-forbidden amplitudes are round-off on both sides, hence the
+    # absolute floor far below any physical amplitude
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        assert transition_element(spec, i, j) == pytest.approx(
+            transition_element(full, i, j), rel=1e-9, abs=1e-12
+        )
+    for i, j in ((0, 1), (1, 2)):
+        assert adiabatic_k(spec, i, j) == pytest.approx(adiabatic_k(full, i, j), rel=1e-9)

@@ -13,6 +13,7 @@ from fluxmaser import (
     adiabatic_rate_check,
     assemble_hamiltonian,
     lowest_eigenpairs,
+    point_record,
     potential,
     pumping_feasibility,
     relative_relaxation,
@@ -168,3 +169,13 @@ def test_table_columns_finite_with_screening():
     table = transition_table(CircuitParams(f_s=0.22), COARSE, [0.47, 0.48], k=4)
     for col in (table.gap(0, 1), table.t_01, table.t_02, table.t_12, table.k_01, table.k_12):
         assert np.all(np.isfinite(col))
+
+
+def test_point_record_keeps_solver_diagnostics():
+    params = CircuitParams(f=0.48, f_s=0.22)
+    rec = point_record(params, COARSE, k=4)
+    spec = lowest_eigenpairs(assemble_hamiltonian(params, COARSE), 4)
+    assert rec.shift == spec.shift
+    assert rec.solves == spec.solves > 0
+    assert rec.harmonics == spec.harmonics == (COARSE.n_p - 1) // 2
+    assert rec.max_residual == spec.residuals.max()
