@@ -98,8 +98,10 @@ class EvolveBlock:
     trajectory_levels: int = 8
 
     def __post_init__(self) -> None:
-        if not (self.dt > 0 and self.t_final > 0):
-            raise ValueError(f"dt and t_final must be positive, got {self.dt}, {self.t_final}")
+        for name in ("dt", "t_final"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.record_every < 1 or self.trajectory_levels < 1:
             raise ValueError(
                 f"record_every and trajectory_levels must be >= 1, "

@@ -155,7 +155,15 @@ def device_report(
     n_t: float = 1.0,
     interaction_phase: float = 1.4 * math.pi,
 ) -> DeviceReport:
-    """Assemble the full estimate chain from circuit outputs and geometry."""
+    """Assemble the full estimate chain from circuit outputs and geometry.
+
+    Non-finite or non-positive ``gap_over_ej``, ``t_01``, ``beta_l`` or
+    ``n_t`` raise ``ValueError`` naming the argument.
+    """
+    inputs = {"gap_over_ej": gap_over_ej, "t_01": t_01, "beta_l": beta_l, "n_t": n_t}
+    for name, value in inputs.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     cavity = cavity or CavityParams()
     nu = cavity_frequency(gap_over_ej, ej_freq)
     phi_ratio = vacuum_flux_ratio(cavity, nu)

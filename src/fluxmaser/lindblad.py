@@ -15,12 +15,14 @@ definitions.  The generator keeps the coherence order ``d = n - m`` and is a
 four-diagonal band on each diagonal of rho, built in closed form by
 ``_coherence_block``.  Two independent routes to the steady state use these
 blocks to validate the closed-form recursions elsewhere: time evolution
-(``evolve``, the exact action of ``exp(L t)`` on rho) and the ``d = 0``
-nullspace (``steady_state_nullspace``, one O(n_max) sparse solve).
+(``evolve``, each occupied diagonal of rho advanced by a cached dense
+exponential of its block) and the ``d = 0`` nullspace
+(``steady_state_nullspace``, one O(n_max) sparse solve).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -28,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import expm
 
 from .errors import AmbiguousSteadyStateError, InvariantViolation, TruncationWarning
 from .maser import MaserConfig, PhotonDistribution, _finalize
@@ -39,12 +42,6 @@ __all__ = [
 
 TOP_LEVEL_TOL = 1e-10
 RESIDUAL_BOUND = 1e-8  # max |G p| a trusted steady state may leave
-# expm_multiply picks its Taylor degree from ||(L - mu) h||_1, mu = tr(L)/dim.
-# Above ~63 (for one vector) it estimates that norm with onenormest, which draws
-# from numpy's global random state.  |mu| <= ||L||_1 bounds that norm by
-# 2 ||L||_1 h, so sub-spans with ||L||_1 h <= 30 keep every call on the exact
-# branch: the result does not depend on, and the call does not advance, that state.
-EXACT_NORM_SPAN = 30.0
 
 
 def validate_density_matrix(
@@ -193,20 +190,23 @@ def evolve(
     """Exact time evolution of the master equation, sampled on a fixed grid.
 
     The state is recorded at steps ``0, record_every, 2 record_every, ...``
-    of size ``dt`` and at the final step ``round(t_final / dt)``.  Between
-    records it is advanced by the action of ``exp(L h)`` of the generator
-    ``L`` (``scipy.sparse.linalg.expm_multiply``, Al-Mohy & Higham 2011),
-    assembled once from the closed-form blocks, so ``dt`` sets only the
-    sampling and any ``dt > 0`` is valid.  Non-positive ``dt``/``t_final``
-    or ``record_every < 1`` raise ``ValueError`` before any work.
+    of size ``dt`` and at the final step ``round(t_final / dt)``.  The
+    generator keeps the coherence order ``d``, so a diagonal of ``rho0`` that
+    is all zero stays exactly zero; each other one is advanced between
+    records by the dense propagator ``expm(L_d h)`` of its block, computed
+    once per ``|d|`` and record span (Moler & Van Loan 2003).  ``dt`` sets
+    only the sampling; non-finite or non-positive ``dt``/``t_final`` or
+    ``record_every < 1`` raise ``ValueError`` before any work.
     Hermiticity (1e-10) and trace (1e-9) are enforced at every record, where
     a populated top Fock level also raises a ``TruncationWarning`` while
     pumped.  Populations are NOT floored: the second-order pump correction
     can push them transiently negative for coherent initial states — a
     property of the model equation, not of the propagation.
     """
-    if not (dt > 0 and t_final > 0 and record_every >= 1):
-        raise ValueError(f"need dt, t_final > 0, record_every > 0: {dt}, {t_final}, {record_every}")
+    if not (0 < dt < math.inf and 0 < t_final < math.inf and record_every >= 1):
+        raise ValueError(
+            f"need dt, t_final finite and > 0, record_every > 0: {dt}, {t_final}, {record_every}"
+        )
     size = cfg.n_max + 1
     if rho0.shape != (size, size):
         raise ValueError(f"rho0 shape {rho0.shape} does not match n_max={cfg.n_max}")
@@ -214,21 +214,20 @@ def evolve(
 
     steps = max(1, int(round(t_final / dt)))
     n_axis = np.arange(size, dtype=float)
-    orders = range(-cfg.n_max, size)
-    flat = np.arange(size * size).reshape(size, size)
-    unorder = np.argsort(np.concatenate([np.diagonal(flat, -d) for d in orders]))
-    blocks = sp.block_diag([_coherence_block(cfg, d) for d in orders], format="csr")
-    liouvillian = blocks[unorder][:, unorder].astype(complex)  # acts on rho.ravel()
-    norm = spla.norm(liouvillian, 1)
     x = rho0.astype(complex).ravel()
+    flat = np.arange(size * size).reshape(size, size)  # where each rho_{nm} sits in x
+    diagonals = [(abs(d), np.diagonal(flat, -d)) for d in range(-cfg.n_max, size)]
+    occupied = [(order, where) for order, where in diagonals if np.any(x[where])]
+
+    @functools.cache
+    def propagator(order: int, span: int) -> np.ndarray:
+        return expm(_coherence_block(cfg, order).toarray() * (span * dt))
 
     times, traces, populations, mean_n = [], [], [], []
     previous = 0
     for step in [*range(0, steps, record_every), steps]:
-        span = (step - previous) * dt
-        pieces = math.ceil(norm * span / EXACT_NORM_SPAN)
-        for _ in range(pieces):
-            x = spla.expm_multiply(liouvillian * (span / pieces), x)
+        for order, where in occupied:
+            x[where] = propagator(order, step - previous) @ x[where]
         previous = step
         t = step * dt
         rho = x.reshape(size, size)

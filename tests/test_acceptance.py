@@ -76,13 +76,19 @@ def _min_pair_gap(f_s):
     return float(gaps[i]), float(f_scan[i])
 
 
+def _mirror_pair(f):
+    # the spectrum is symmetric under f -> 1 - f; which mirror minimum the scan
+    # picks is decided by round-off, so name both
+    return f"{min(f, 1.0 - f):.4f}/{max(f, 1.0 - f):.4f}"
+
+
 def test_02_screening_opens_the_upper_crossing():
     min_bare, at_bare = _min_pair_gap(0.0)
     min_screened, at_screened = _min_pair_gap(0.27)
-    assert min_bare < 1e-3, f"bare upper-pair gap {min_bare:.3e} at f={at_bare:.4f}"
+    assert min_bare < 1e-3, f"bare upper-pair gap {min_bare:.3e} at f={_mirror_pair(at_bare)}"
     assert min_screened >= 10.0 * min_bare, (
-        f"screened minimum {min_screened:.4e} at f={at_screened:.4f} is NOT >= 10x the "
-        f"bare minimum {min_bare:.4e} at f={at_bare:.4f}: the screened bands keep a "
+        f"screened minimum {min_screened:.4e} at f={_mirror_pair(at_screened)} is NOT >= 10x "
+        f"the bare minimum {min_bare:.4e} at f={_mirror_pair(at_bare)}: the screened bands keep a "
         f"narrow avoided crossing at the mirror points f~0.4625/0.5375 (depth ~2.9e-4) "
         f"even though the gap at f=0.5 itself opens ~130x"
     )

@@ -3,11 +3,15 @@
 import csv
 import math
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fluxmaser
 from fluxmaser import CircuitParams, PhaseGrid, transition_table
 from fluxmaser.cli import (
     BLAS_THREAD_ENV,
@@ -277,6 +281,7 @@ def test_evolve_final_row_independent_of_sampling_step(tmp_path):
         "{dt: -0.001}",
         "{t_final: -1.0}",
         "{trajectory_levels: 0}",
+        "{dt: .nan}",
     ],
 )
 def test_evolve_rejects_bad_inputs_up_front(block, tmp_path, capsys):
@@ -286,6 +291,21 @@ def test_evolve_rejects_bad_inputs_up_front(block, tmp_path, capsys):
     assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 1
     assert "invalid evolve block" in capsys.readouterr().err
     assert not (out / "evolve.csv").exists()
+
+
+def test_evolve_infinite_horizon_exits_one_without_traceback(tmp_path):
+    # a real process, so that an exception escaping main would show as a traceback
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("evolve: {t_final: .inf}\n")
+    src = str(Path(fluxmaser.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "fluxmaser.cli", "evolve", "--config", str(cfg),
+         "--out", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 1
+    assert "t_final" in result.stderr and "Traceback" not in result.stderr
+    assert not (tmp_path / "out" / "evolve.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -97,3 +97,10 @@ def test_device_report_renders_key_lines():
     text = format_device_report(device_report())
     for fragment in ("cavity frequency", "coupling g", "photon lifetime", "loop inductance"):
         assert fragment in text
+
+
+@pytest.mark.parametrize("name", ["gap_over_ej", "t_01", "beta_l", "n_t"])
+@pytest.mark.parametrize("value", [0.0, -0.1, math.inf, math.nan])
+def test_device_report_rejects_non_finite_or_nonpositive_inputs(name, value):
+    with pytest.raises(ValueError, match=name):
+        device_report(**{name: value})

@@ -204,7 +204,10 @@ def test_first_order_generator_nullspace_is_the_atomic_recursion():
 
 @pytest.mark.parametrize(
     "t_final, dt, record_every",
-    [(1.0, 0.0, 10), (1.0, -1e-3, 10), (-1.0, 1e-3, 10), (0.0, 1e-3, 10), (1.0, 1e-3, 0)],
+    [
+        (1.0, 0.0, 10), (1.0, -1e-3, 10), (-1.0, 1e-3, 10), (0.0, 1e-3, 10), (1.0, 1e-3, 0),
+        (math.inf, 1e-3, 10), (math.nan, 1e-3, 10), (1.0, math.inf, 10), (1.0, math.nan, 10),
+    ],
 )
 def test_evolve_rejects_nonpositive_inputs(t_final, dt, record_every):
     cfg = MaserConfig(n_th=0.1, n_t=1.0, g_tau=1.0, n_max=8)
@@ -239,25 +242,44 @@ def test_steady_state_populations_nonnegative_for_pure_relaxation():
     assert np.real(np.diag(traj.rho_final)).min() >= -1e-9
 
 
+def _superposition(levels, size):
+    psi = np.zeros(size)
+    psi[list(levels)] = 1.0 / math.sqrt(len(levels))
+    return np.outer(psi, psi).astype(complex)
+
+
 @pytest.fixture(scope="module")
 def pumped_long_run():
     cfg = MaserConfig(n_th=0.1, n_t=1.0, g_tau=1.4 * math.pi, n_max=32)
-    psi = np.zeros(33)
-    psi[0] = psi[1] = 1.0 / math.sqrt(2.0)
-    rho0 = np.outer(psi, psi).astype(complex)
+    rho0 = _superposition((0, 1), 33)
     traj = evolve(rho0, cfg, t_final=20.0, dt=2e-3, record_every=500)
     return cfg, traj
 
 
-def test_evolve_matches_exact_reference_from_coherent_state(pumped_long_run):
-    cfg, _ = pumped_long_run
-    psi = np.zeros(33)
-    psi[0] = psi[1] = 1.0 / math.sqrt(2.0)
-    rho0 = np.outer(psi, psi).astype(complex)
-    traj = evolve(rho0, cfg, t_final=0.4, dt=2e-3, record_every=50)
+def _check_against_exact_reference(cfg, levels, record_every, orders):
+    rho0 = _superposition(levels, 33)
+    traj = evolve(rho0, cfg, t_final=0.4, dt=2e-3, record_every=record_every)
     assert traj.steps == 200
-    reference = expm_reference(rho0, cfg, 0.4)
-    assert np.max(np.abs(traj.rho_final - reference)) < 1e-12
+    assert np.max(np.abs(traj.rho_final - expm_reference(rho0, cfg, 0.4))) < 1e-12
+    # the generator keeps the coherence order: empty diagonals stay exactly zero
+    for d in range(-32, 33):
+        if abs(d) not in orders:
+            assert not np.any(np.diagonal(traj.rho_final, d)), f"d={d}"
+
+
+def test_evolve_matches_exact_reference_from_coherent_state(pumped_long_run):
+    _check_against_exact_reference(pumped_long_run[0], (0, 1), 50, {0, 1})
+
+
+@pytest.mark.parametrize(
+    "levels, record_every, orders",
+    [((0, 1), 60, {0, 1}), ((1, 3), 50, {0, 2})],
+    ids=["short-last-span", "only-d2"],
+)
+def test_evolve_matches_exact_reference_in_other_cases(
+    pumped_long_run, levels, record_every, orders
+):
+    _check_against_exact_reference(pumped_long_run[0], levels, record_every, orders)
 
 
 def test_evolve_final_state_independent_of_sampling_step():
@@ -275,8 +297,8 @@ def test_evolve_final_state_independent_of_sampling_step():
     ids=["headline", "strong-pump"],
 )
 def test_evolve_ignores_global_random_state(n_t, tau_over_pi, n_max, t_final):
-    # one record interval of norm * t far above scipy's exact-norm threshold,
-    # where expm_multiply would otherwise estimate norms from np.random
+    # one record interval of large norm * t: the propagator must be computed
+    # from exact norms, never from estimates drawn from np.random
     cfg = MaserConfig.from_interaction_time(n_t, tau_over_pi * math.pi, n_th=0.1, n_max=n_max)
     dt = 1e-3
     steps = int(round(t_final / dt))
