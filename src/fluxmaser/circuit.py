@@ -20,15 +20,15 @@ sum over (``phi_p`` mode, ``phi_q`` site): real trigonometric modes in
 ``phi_p``, each carrying a finite-difference ring on the reduced domain
 ``[-pi, pi)`` whose closing link takes a per-mode sign (the sector
 condition), with the ``cos(phi_p)`` part of the potential coupling
-neighbouring modes.  Physical spectra and matrix elements are computed from
-this operator; the literal finite-difference torus it is checked against
-lives with the test oracles.
+neighbouring modes.  Spectra and the elements of the loop current and of
+``dH/df_s``, assembled beside it, are computed in this basis; the torus and
+position-sampled states it is checked against live with the test oracles.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Literal
 
 import numpy as np
@@ -172,56 +172,28 @@ def circulating_current(params: CircuitParams, phi_p, phi_q):
     return -np.cos(phi_p) * np.sin(math.pi * params.f + phi_q / 2.0)
 
 
-def _sector_modes(n_p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Real trigonometric basis bookkeeping for the ``phi_p`` direction.
-
-    Returns ``(m, kind)`` arrays in the order ``1, cos(phi), sin(phi),
-    cos(2 phi), sin(2 phi), ...`` up to harmonic ``(n_p - 1)//2``; ``kind`` is
-    0 for cosine-type (including the constant mode m=0) and 1 for sine-type.
-    For even sample counts this drops the unpaired Nyquist harmonic, so
-    discrete orthonormality stays exact.
-    """
-    index = np.arange(2 * ((n_p - 1) // 2) + 1)
-    return (index + 1) // 2, ((index > 0) & (index % 2 == 0)).astype(int)
-
-
-def _sector_basis_matrix(phi_p_axis: np.ndarray, ms: np.ndarray, kinds: np.ndarray) -> np.ndarray:
-    """Position samples of the orthonormal trig basis, shape (n_p, n_modes)."""
-    phase = np.outer(phi_p_axis, ms)
-    basis = np.where(kinds == 1, np.sin(phase), np.cos(phase)) / math.sqrt(math.pi)
-    basis[:, 0] = 1.0 / math.sqrt(2.0 * math.pi)
-    return basis
-
-
 @dataclass
 class HamiltonianOperator:
     """Sparse symmetric real sector Hamiltonian in units of E_J.
 
     ``matrix`` acts on coefficient vectors over (trigonometric ``phi_p``
-    mode, ``phi_q`` sample); ``to_position`` maps such vectors to real
-    wavefunction samples on ``(phi_p_axis, phi_q_axis)``, unit-normalized
-    under the quadrature weight ``weight = h_p * h_q_half``.
-    ``lower_bound`` is a floor on the spectrum: every eigenvalue of
-    ``matrix`` is at least this value.
+    mode, ``phi_q`` ring site at ``phi_q_axis``), site fastest; an l2-unit
+    vector is a unit-normalised wavefunction.  ``current`` (the loop current
+    :func:`circulating_current`) and ``dh_dfs`` (``dH/df_s``) act in the
+    same basis.  ``lower_bound`` is a floor on the spectrum: every
+    eigenvalue of ``matrix`` is at least this value.
     """
 
     matrix: sp.csr_matrix
+    current: sp.csr_matrix
+    dh_dfs: sp.csr_matrix
     params: CircuitParams
     lower_bound: float
-    phi_p_axis: np.ndarray
     phi_q_axis: np.ndarray
-    weight: float
-    _basis: np.ndarray = field(repr=False)
 
     @property
     def dimension(self) -> int:
         return self.matrix.shape[0]
-
-    def to_position(self, vec: np.ndarray) -> np.ndarray:
-        """Map an l2-unit coefficient vector to quadrature-unit samples."""
-        coeffs = vec.reshape(-1, self.phi_q_axis.size)
-        h_qr = self.phi_q_axis[1] - self.phi_q_axis[0]
-        return (self._basis @ coeffs) / math.sqrt(h_qr)
 
 
 def assemble_hamiltonian(
@@ -251,11 +223,15 @@ def assemble_hamiltonian(
 
     ``lower_bound`` is ``min(U(phi_q) - 2 |cos(pi f + phi_q/2)|)`` over the
     ring sites, the grid minimum of the potential at ``cos(phi_p) = +-1``.
+    ``current`` is ``-L (x) diag(sin(pi f + phi_q/2))``, and ``dh_dfs`` the
+    diagonal ``2 pi gamma sin(pi f_s) cos(phi_q)`` on every mode.
     """
     if sector not in ("even", "odd"):
         raise ValueError(f"sector must be 'even' or 'odd', got {sector!r}")
     sigma = 1.0 if sector == "even" else -1.0
-    ms, kinds = _sector_modes(grid.n_p)
+    # harmonic of each mode 1, cos(phi_p), sin(phi_p), cos(2 phi_p), ... up to
+    # (n_p - 1)//2; an even n_p drops its unpaired Nyquist harmonic
+    ms = (np.arange(2 * ((grid.n_p - 1) // 2) + 1) + 1) // 2
     n_modes, n_q, q_axis = ms.size, grid.n_q_half, grid.phi_q_half_axis
     inv_h2 = 1.0 / (grid.h_q_half * grid.h_q_half)
     hop = -params.c_q * inv_h2
@@ -270,14 +246,16 @@ def assemble_hamiltonian(
     rows, cols = np.r_[0, 1 : n_modes - 2], np.r_[1, 3:n_modes]
     weights = np.where(rows == 0, 1.0 / math.sqrt(2.0), 0.5)
     upper = sp.coo_matrix((weights, (rows, cols)), shape=(n_modes, n_modes))
+    ladder = upper + upper.T
     g_profile = np.cos(math.pi * params.f + q_axis / 2.0)
 
     ham = (
         sp.diags(on_site.ravel())
         + sp.kron(sp.identity(n_modes), chain)
         + sp.kron(sp.diags(wrap), corner)
-        + sp.kron(-2.0 * (upper + upper.T), sp.diags(g_profile))
+        + sp.kron(-2.0 * ladder, sp.diags(g_profile))
     )
+    d_u = 2.0 * math.pi * params.gamma * math.sin(math.pi * params.f_s) * np.cos(q_axis)
     # H >= lower_bound: the kinetic part is positive semidefinite (c_p m^2 >= 0,
     # and the ring Laplacian with either closing sign is >= 0), and L is a
     # principal submatrix of the cos(phi_p) multiplication operator in an
@@ -285,10 +263,9 @@ def assemble_hamiltonian(
     # U - 2 g L is >= U - 2|g|
     return HamiltonianOperator(
         matrix=ham.tocsr(),
+        current=sp.kron(-ladder, sp.diags(np.sin(math.pi * params.f + q_axis / 2.0))).tocsr(),
+        dh_dfs=sp.diags(np.tile(d_u, n_modes), format="csr"),
         params=params,
         lower_bound=float(np.min(u_diag - 2.0 * np.abs(g_profile))),
-        phi_p_axis=grid.phi_p_axis,
         phi_q_axis=q_axis,
-        weight=grid.h_p * grid.h_q_half,
-        _basis=_sector_basis_matrix(grid.phi_p_axis, ms, kinds),
     )

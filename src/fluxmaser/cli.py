@@ -31,7 +31,7 @@ from .device import CavityParams, device_report, format_device_report
 from .errors import ConfigError
 from .lindblad import evolve as lindblad_evolve
 from .lindblad import fock_state
-from .maser import MaserConfig, steady_state_atomic, steady_state_sqc
+from .maser import steady_state_atomic, steady_state_sqc
 from .transitions import PointRecord, point_record
 
 WORKERS_ENV = "FLUXMASER_WORKERS"
@@ -199,10 +199,7 @@ def cmd_spectral(command: str, cfg: RunConfig, out_dir: str, workers: int) -> in
 
 def cmd_fig4(cfg: RunConfig, out_dir: str) -> int:
     digits = cfg.output.digits
-    for n_t, tau_over_pi in cfg.maser.cases:
-        mcfg = MaserConfig.from_interaction_time(
-            n_t, tau_over_pi * math.pi, n_th=cfg.maser.n_th, n_max=cfg.maser.n_max
-        )
+    for (n_t, tau_over_pi), mcfg in zip(cfg.maser.cases, cfg.maser.maser_configs()):
         sqc = steady_state_sqc(mcfg)
         atomic = steady_state_atomic(mcfg)
         size = max(sqc.p.size, atomic.p.size)
@@ -225,9 +222,7 @@ def cmd_fig4(cfg: RunConfig, out_dir: str) -> int:
 
 def cmd_evolve(cfg: RunConfig, out_dir: str) -> int:
     ev = cfg.evolve
-    mcfg = MaserConfig.from_interaction_time(
-        ev.n_t, ev.tau_int_over_pi * math.pi, n_th=ev.n_th, n_max=ev.n_max
-    )
+    mcfg = ev.maser_config()
     rho0 = fock_state(0, mcfg.n_max)
     trajectory = lindblad_evolve(rho0, mcfg, ev.t_final, ev.dt, record_every=ev.record_every)
     reference = steady_state_sqc(mcfg, auto_extend=False)

@@ -15,6 +15,8 @@ import yaml
 
 from .circuit import CircuitParams
 from .errors import ConfigError
+from .lindblad import step_count
+from .maser import MaserConfig
 from .spectrum import MAX_K
 
 __all__ = [
@@ -74,6 +76,12 @@ class SweepBlock:
             raise ValueError(f"k must be between 4 and {MAX_K}, got {self.k}")
 
 
+def _maser_config(n_t: float, tau_int_over_pi: float, n_th: float, n_max: int) -> MaserConfig:
+    if not 0 <= tau_int_over_pi < math.inf:
+        raise ValueError(f"tau_int_over_pi must be finite and >= 0, got {tau_int_over_pi}")
+    return MaserConfig.from_interaction_time(n_t, tau_int_over_pi * math.pi, n_th=n_th, n_max=n_max)
+
+
 @dataclass(frozen=True)
 class MaserBlock:
     n_th: float = 0.1
@@ -84,6 +92,16 @@ class MaserBlock:
     def __post_init__(self) -> None:
         if not self.cases:
             raise ValueError("cases must not be empty")
+        if not all(isinstance(case, tuple) and len(case) == 2 for case in self.cases):
+            raise ValueError(f"cases entries must be [n_t, tau_int_over_pi] pairs: {self.cases}")
+        self.maser_configs()  # checked here, before any command uses them
+
+    def maser_configs(self) -> list[MaserConfig]:
+        """One :class:`MaserConfig` per ``(n_t, tau_int/pi)`` entry of ``cases``."""
+        try:
+            return [_maser_config(n_t, tau, self.n_th, self.n_max) for n_t, tau in self.cases]
+        except ValueError as exc:
+            raise ValueError(f"cases: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -107,6 +125,12 @@ class EvolveBlock:
                 f"record_every and trajectory_levels must be >= 1, "
                 f"got {self.record_every}, {self.trajectory_levels}"
             )
+        step_count(self.t_final, self.dt, self.record_every)  # checked before any command runs
+        self.maser_config()
+
+    def maser_config(self) -> MaserConfig:
+        """The operating point the trajectory is integrated at."""
+        return _maser_config(self.n_t, self.tau_int_over_pi, self.n_th, self.n_max)
 
 
 @dataclass(frozen=True)

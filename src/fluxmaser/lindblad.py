@@ -37,10 +37,12 @@ from .maser import MaserConfig, PhotonDistribution, _finalize
 
 __all__ = [
     "validate_density_matrix", "fock_state", "thermal_state", "gain_map", "dissipator",
-    "generator", "Trajectory", "evolve", "diagonal_generator", "steady_state_nullspace",
+    "generator", "Trajectory", "evolve", "step_count", "diagonal_generator",
+    "steady_state_nullspace",
 ]
 
 TOP_LEVEL_TOL = 1e-10
+MAX_RECORDS = 10**6  # a run recording more is a typo (the CLI default records 201)
 RESIDUAL_BOUND = 1e-8  # max |G p| a trusted steady state may leave
 
 
@@ -184,6 +186,22 @@ class Trajectory:
     steps: int
 
 
+def step_count(t_final: float, dt: float, record_every: int) -> int:
+    """Number of ``dt`` steps ``evolve`` takes to ``t_final``.
+
+    ``ValueError`` unless ``dt`` and ``t_final`` are finite and > 0,
+    ``record_every >= 1`` and the run records at most ``MAX_RECORDS`` states.
+    """
+    if not (0 < dt < math.inf and 0 < t_final < math.inf and record_every >= 1):
+        raise ValueError(
+            f"need dt, t_final finite and > 0, record_every > 0: {dt}, {t_final}, {record_every}"
+        )
+    ratio = t_final / dt  # inf when the quotient overflows
+    if not ratio / record_every <= MAX_RECORDS - 1:
+        raise ValueError(f"t_final/dt = {ratio:g} steps would record over {MAX_RECORDS} states")
+    return max(1, int(round(ratio)))
+
+
 def evolve(
     rho0: np.ndarray, cfg: MaserConfig, t_final: float, dt: float, *, record_every: int = 10
 ) -> Trajectory:
@@ -195,24 +213,20 @@ def evolve(
     is all zero stays exactly zero; each other one is advanced between
     records by the dense propagator ``expm(L_d h)`` of its block, computed
     once per ``|d|`` and record span (Moler & Van Loan 2003).  ``dt`` sets
-    only the sampling; non-finite or non-positive ``dt``/``t_final`` or
-    ``record_every < 1`` raise ``ValueError`` before any work.
+    only the sampling; inputs :func:`step_count` rejects raise ``ValueError``
+    before any work.
     Hermiticity (1e-10) and trace (1e-9) are enforced at every record, where
     a populated top Fock level also raises a ``TruncationWarning`` while
     pumped.  Populations are NOT floored: the second-order pump correction
     can push them transiently negative for coherent initial states — a
     property of the model equation, not of the propagation.
     """
-    if not (0 < dt < math.inf and 0 < t_final < math.inf and record_every >= 1):
-        raise ValueError(
-            f"need dt, t_final finite and > 0, record_every > 0: {dt}, {t_final}, {record_every}"
-        )
+    steps = step_count(t_final, dt, record_every)
     size = cfg.n_max + 1
     if rho0.shape != (size, size):
         raise ValueError(f"rho0 shape {rho0.shape} does not match n_max={cfg.n_max}")
     validate_density_matrix(rho0, context="initial state")
 
-    steps = max(1, int(round(t_final / dt)))
     n_axis = np.arange(size, dtype=float)
     x = rho0.astype(complex).ravel()
     flat = np.arange(size * size).reshape(size, size)  # where each rho_{nm} sits in x

@@ -43,7 +43,8 @@ class MaserConfig:
     """Operating point of the maser.
 
     ``n_t`` may be zero (no pumping: the bath alone fixes the steady state);
-    negative values are rejected.
+    negative or non-finite values are rejected, as for ``n_th`` and
+    ``g_tau``.
     """
 
     n_th: float = 0.1
@@ -52,12 +53,10 @@ class MaserConfig:
     n_max: int = 256
 
     def __post_init__(self) -> None:
-        if not self.n_th >= 0:
-            raise ValueError(f"n_th must be >= 0, got {self.n_th}")
-        if not self.n_t >= 0:
-            raise ValueError(f"n_t must be >= 0, got {self.n_t}")
-        if not self.g_tau >= 0:
-            raise ValueError(f"g_tau must be >= 0, got {self.g_tau}")
+        for name in ("n_th", "n_t", "g_tau"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if self.n_max < 4:
             raise ValueError(f"n_max must be >= 4, got {self.n_max}")
 

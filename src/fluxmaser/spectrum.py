@@ -22,7 +22,8 @@ residual ``r`` moves a level by at most ``r**2`` over its distance to the
 rest of the spectrum.  A solve whose largest residual misses
 ``TRUNCATION_TARGET`` times the gate bound is repeated with ``M`` doubled,
 up to the full basis, which runs the plain full-operator solve.
-``EigenSpectrum.harmonics`` reports the ``M`` kept.
+``EigenSpectrum.harmonics`` reports the ``M`` kept.  The states are the
+operator's coefficient vectors, so elements are read in the same basis.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .circuit import CircuitParams, HamiltonianOperator, circulating_current
+from .circuit import CircuitParams, HamiltonianOperator
 from .errors import ConvergenceError
 
 __all__ = ["EigenSpectrum", "lowest_eigenpairs"]
@@ -51,27 +52,26 @@ COEFF_FLOOR = 1e-12
 
 @dataclass
 class EigenSpectrum:
-    """Lowest eigenlevels and real position-sampled eigenstates.
+    """Lowest eigenlevels and real eigenstates in the operator's basis.
 
-    ``levels`` are ascending, in units of E_J.  ``states[i]`` is sampled on
-    ``(phi_p_axis, phi_q_axis)`` and unit-normalized under the quadrature
-    weight ``weight``; the component of largest magnitude is positive.
+    ``levels`` are ascending, in units of E_J.  ``states[i]`` is the l2-unit
+    coefficient vector of level ``i`` in the operator's basis, its largest
+    component positive; ``current`` and ``dh_dfs`` are the operator's.
     ``residuals`` are the solver residual norms ``|H v - E v|`` of the full
-    operator in its basis, with the coefficients of dropped harmonics zero,
-    before any degenerate-cluster rotation.  ``method`` names the solver
-    route, always ``"lanczos"``; ``shift`` is the shift-invert point, below
-    ``levels[0]``, and ``solves`` counts the factorised solves the Lanczos
-    iterations asked for.  ``harmonics`` is the highest ``phi_p`` harmonic
-    the accepted solve kept (``(n_p - 1)//2`` for the full basis).
+    operator, with the coefficients of dropped harmonics zero, before any
+    degenerate-cluster rotation.  ``method`` names the solver route, always
+    ``"lanczos"``; ``shift`` is the shift-invert point, below ``levels[0]``,
+    and ``solves`` counts the factorised solves the Lanczos iterations asked
+    for.  ``harmonics`` is the highest ``phi_p`` harmonic the accepted solve
+    kept (``(n_p - 1)//2`` for the full basis).
     """
 
     params: CircuitParams
     levels: np.ndarray
     states: np.ndarray
+    current: sp.csr_matrix
+    dh_dfs: sp.csr_matrix
     residuals: np.ndarray
-    phi_p_axis: np.ndarray
-    phi_q_axis: np.ndarray
-    weight: float
     method: str
     shift: float
     solves: int
@@ -157,7 +157,8 @@ def lowest_eigenpairs(
 
     Eigenvectors inside any near-degenerate cluster (consecutive gaps below
     ``DEFAULT_DEGENERACY_TOL`` E_J) are rotated to diagonalize the
-    loop-current drive profile.  That is the limiting adiabatic basis at a
+    loop-current drive ``-V^T current V`` over the cluster's vectors ``V``,
+    in ascending order.  That is the limiting adiabatic basis at a
     level crossing (the flux derivative of the Hamiltonian is proportional
     to the current operator), and it makes transition amplitudes continuous
     through crossings instead of solver-arbitrary.  Inside a cluster the
@@ -191,34 +192,24 @@ def lowest_eigenpairs(
             f"eigensolver residual {worst:.3e} exceeds bound (operator scale {scale:.3e})"
         )
 
-    states = np.stack([op.to_position(vecs[:, i]) for i in range(k)])
+    states = np.ascontiguousarray(vecs.T)
+    for group in _degenerate_groups(vals):
+        if len(group) > 1:
+            block = -states[group] @ (op.current @ states[group].T)
+            _, rot = scipy.linalg.eigh(0.5 * (block + block.T))
+            states[group] = rot.T @ states[group]
 
-    groups = [g for g in _degenerate_groups(vals) if len(g) > 1]
-    if groups:
-        pp, qq = np.meshgrid(op.phi_p_axis, op.phi_q_axis, indexing="ij")
-        drive = -circulating_current(op.params, pp, qq)
-        for group in groups:
-            block = np.empty((len(group), len(group)))
-            for ia, a in enumerate(group):
-                for ib, b in enumerate(group):
-                    block[ia, ib] = np.sum(states[a] * drive * states[b]) * op.weight
-            block = 0.5 * (block + block.T)
-            _, rot = scipy.linalg.eigh(block)
-            states[group] = np.tensordot(rot.T, states[group], axes=1)
-
-    for i in range(k):
-        flat = states[i].ravel()
-        if flat[np.argmax(np.abs(flat))] < 0:
-            states[i] = -states[i]
+    for state in states:
+        if state[np.argmax(np.abs(state))] < 0:
+            state *= -1.0
 
     return EigenSpectrum(
         params=op.params,
         levels=vals.astype(float),
         states=states,
+        current=op.current,
+        dh_dfs=op.dh_dfs,
         residuals=residuals,
-        phi_p_axis=op.phi_p_axis,
-        phi_q_axis=op.phi_q_axis,
-        weight=op.weight,
         method="lanczos",
         shift=op.lower_bound,
         solves=solves,

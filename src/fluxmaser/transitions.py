@@ -1,10 +1,11 @@
 """Microwave transition amplitudes and adiabatic-control figures of merit.
 
-Transition amplitudes ``|t_ij|`` are grid quadratures of the loop-current
-profile between eigenstates, in units of ``I_c * Phi_w0`` (critical current
-times the vacuum flux amplitude).  The adiabaticity coefficient ``K_ij``
-measures how slowly the SQUID flux must be ramped for the state to follow:
-``K_ij * |d f_s/dt| << 1`` with the ramp rate in 1/ns.
+Transition amplitudes ``|t_ij|`` are matrix elements of the loop current
+between eigenstates, in units of ``I_c * Phi_w0`` (critical current times
+the vacuum flux amplitude).  The adiabaticity coefficient ``K_ij`` measures
+how slowly the SQUID flux must be ramped for the state to follow:
+``K_ij * |d f_s/dt| << 1`` with the ramp rate in 1/ns.  Both are
+``|v_i . A v_j|`` with ``A`` the spectrum's ``current`` or ``dh_dfs``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import CircuitParams, PhaseGrid, assemble_hamiltonian, circulating_current
+from .circuit import CircuitParams, PhaseGrid, assemble_hamiltonian
 from .errors import DegenerateGapError
 from .spectrum import EigenSpectrum, lowest_eigenpairs
 
@@ -34,10 +35,8 @@ DEGENERACY_FLOOR = 1e-6
 
 
 def transition_element(spec: EigenSpectrum, i: int, j: int) -> float:
-    """``|<E_i| I(phi_p, phi_q) |E_j>|`` of the loop current by grid quadrature."""
-    pp, qq = np.meshgrid(spec.phi_p_axis, spec.phi_q_axis, indexing="ij")
-    profile = circulating_current(spec.params, pp, qq)
-    return float(abs(np.sum(spec.states[i] * profile * spec.states[j]) * spec.weight))
+    """``|<E_i| I(phi_p, phi_q) |E_j>|`` of the loop current."""
+    return float(abs(spec.states[i] @ (spec.current @ spec.states[j])))
 
 
 def adiabatic_k(spec: EigenSpectrum, i: int, j: int) -> float:
@@ -46,8 +45,8 @@ def adiabatic_k(spec: EigenSpectrum, i: int, j: int) -> float:
     ``K_ij = |<i| dH/df_s |j>| / (E_i - E_j)^2`` with the energy scale
     restored through ``ej_freq`` (E_J expressed as an ordinary frequency, so
     the dimensionless ratio divides by ej_freq in GHz to land in ns).  The
-    flux derivative of the potential is ``2 pi gamma sin(pi f_s) cos(phi_q)``,
-    which vanishes identically at ``f_s = 0``.
+    flux derivative ``dH/df_s`` vanishes identically at ``f_s = 0``, where
+    the coefficient is 0 even at a crossing.
 
     Raises
     ------
@@ -63,9 +62,7 @@ def adiabatic_k(spec: EigenSpectrum, i: int, j: int) -> float:
         raise DegenerateGapError(
             f"levels {i},{j} separated by {abs(gap):.3e} E_J (< {DEGENERACY_FLOOR:.0e}): crossing"
         )
-    _, qq = np.meshgrid(spec.phi_p_axis, spec.phi_q_axis, indexing="ij")
-    dpot = 2.0 * math.pi * params.gamma * math.sin(math.pi * params.f_s) * np.cos(qq)
-    element = abs(np.sum(spec.states[i] * dpot * spec.states[j]) * spec.weight)
+    element = abs(spec.states[i] @ (spec.dh_dfs @ spec.states[j]))
     return float(element / gap**2 / params.ej_freq)
 
 

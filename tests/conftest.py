@@ -23,7 +23,7 @@ def random_operators(seed=2024, per_grid=16):
 
     Each grid gets ``per_grid`` random (gamma, E_J/E_c, f, f_s, sector) draws,
     E_J/E_c log-uniform over 10..1e4, plus the deep-well extreme
-    E_J/E_c = 1e4 at f_s = 0.5 in both sectors.  Yields ``(label, op)``.
+    E_J/E_c = 1e4 at f_s = 0.5 in both sectors.  Yields ``(label, grid, op)``.
     """
     rng = np.random.default_rng(seed)
     for shape in ((16, 32), (24, 48)):
@@ -33,10 +33,11 @@ def random_operators(seed=2024, per_grid=16):
             for _ in range(per_grid)
         ]
         draws += [(0.5, 1e4, 0.5, 0.5, "even"), (0.5, 1e4, 0.47, 0.5, "odd")]
+        grid = PhaseGrid(*shape)
         for gamma, ratio, f, f_s, sector in draws:
             params = CircuitParams(gamma=gamma, ej_over_ec=ratio, f=f, f_s=f_s)
             label = f"{shape} {sector} {params}"
-            yield label, assemble_hamiltonian(params, PhaseGrid(*shape), sector=sector)
+            yield label, grid, assemble_hamiltonian(params, grid, sector=sector)
 
 
 @pytest.fixture(scope="session")

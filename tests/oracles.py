@@ -82,6 +82,34 @@ def sector_hamiltonian_dense(params, grid, sector: str) -> np.ndarray:
     return ham
 
 
+def position_samples(grid, vec: np.ndarray) -> np.ndarray:
+    """Wavefunction samples of a sector coefficient vector on the position grid.
+
+    ``vec`` runs over (trig ``phi_p`` mode, ring site) like the sector
+    operator, with the modes of ``sector_hamiltonian_dense``.  The result is
+    sampled on ``(grid.phi_p_axis, grid.phi_q_half_axis)`` and an l2-unit
+    ``vec`` comes out unit-normalised under the quadrature weight
+    ``grid.h_p * grid.h_q_half``.
+    """
+    index = np.arange(2 * ((grid.n_p - 1) // 2) + 1)
+    phase = np.outer(grid.phi_p_axis, (index + 1) // 2)
+    basis = np.where(index % 2 == 0, np.sin(phase), np.cos(phase)) / np.sqrt(np.pi)
+    basis[:, 0] = 1.0 / np.sqrt(2.0 * np.pi)
+    return basis @ vec.reshape(index.size, grid.n_q_half) / np.sqrt(grid.h_q_half)
+
+
+def position_element(grid, profile: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """``<a| profile |b>`` by grid quadrature of the position samples of ``a`` and ``b``.
+
+    ``profile`` is sampled on the same ``(phi_p, phi_q)`` meshgrid.  For a
+    profile of at most first harmonic in ``phi_p`` the ``phi_p`` quadrature
+    is exact while the states use harmonics up to ``(n_p - 2)/2``: always at
+    even ``n_p``, and at odd ``n_p`` for a truncated solve.
+    """
+    weight = grid.h_p * grid.h_q_half
+    return float(np.sum(position_samples(grid, a) * profile * position_samples(grid, b)) * weight)
+
+
 def dense_levels(matrix, k: int) -> np.ndarray:
     """The ``k`` lowest eigenvalues by dense LAPACK diagonalization."""
     return eigh(matrix.toarray(), subset_by_index=[0, k - 1], eigvals_only=True)

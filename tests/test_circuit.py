@@ -128,7 +128,7 @@ def test_sector_operator_matches_entrywise_oracle(shape, sector):
 def test_lower_bound_below_ground_state():
     # the shift-invert point must sit under the whole spectrum, down to the
     # deep-well limit where the ground state nearly touches the potential floor
-    for label, op in random_operators():
+    for label, _, op in random_operators():
         ground = dense_levels(op.matrix, 1)[0]
         assert op.lower_bound <= ground, f"{label}: bound {op.lower_bound} > E0 {ground}"
 

@@ -3,6 +3,7 @@
 import csv
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -117,6 +118,8 @@ def test_type_errors_rejected(tmp_path):
         "sweep: {f_s_values: []}\n",
         "sweep: {ramp_f_s_values: []}\n",
         "maser: {cases: []}\n",
+        "maser: {cases: [1.0, 2.0]}\n",
+        "maser: {cases: [[1.0]]}\n",
         "output: {digits: -1}\n",
         "output: {digits: 0}\n",
         "output: {digits: 18}\n",
@@ -124,7 +127,8 @@ def test_type_errors_rejected(tmp_path):
     ):
         path = tmp_path / "bad.yaml"
         path.write_text(snippet)
-        with pytest.raises(ConfigError):
+        key = re.search(r"\{(\w+):", snippet).group(1)
+        with pytest.raises(ConfigError, match=key):
             load_config(path)
 
 
@@ -309,6 +313,24 @@ def test_evolve_infinite_horizon_exits_one_without_traceback(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "snippet", ["{t_final: 1.0e+300, dt: 1.0e-300}", "{t_final: 1.0e+12}"], ids=["overflow", "huge"]
+)
+def test_evolve_unbounded_step_count_exits_one_without_traceback(snippet, tmp_path):
+    # a finite horizon whose step count overflows, or would record ~1e13 states
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"evolve: {snippet}\n")
+    src = str(Path(fluxmaser.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "fluxmaser.cli", "evolve", "--config", str(cfg),
+         "--out", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 1
+    assert "t_final/dt" in result.stderr and "Traceback" not in result.stderr
+    assert not (tmp_path / "out" / "evolve.csv").exists()
+
+
+@pytest.mark.parametrize(
     ("command", "snippet", "key"),
     [
         ("sweep", "sweep: {f_start: .nan}", "f_start"),
@@ -322,6 +344,12 @@ def test_evolve_infinite_horizon_exits_one_without_traceback(tmp_path):
         ("estimate-device", "cavity: {gap_over_ej: -0.05}", "gap_over_ej"),
         ("estimate-device", "cavity: {n_t: -1.0}", "n_t"),
         ("estimate-device", "cavity: {quality: .inf}", "quality"),
+        ("fig4", "maser: {cases: [[.inf, 1.4]]}", "cases"),
+        ("fig4", "maser: {cases: [[1.0, .nan]]}", "cases"),
+        ("fig4", "maser: {n_th: .inf}", "n_th"),
+        ("evolve", "evolve: {n_t: .inf}", "n_t"),
+        ("evolve", "evolve: {tau_int_over_pi: .inf}", "tau_int_over_pi"),
+        ("evolve", "evolve: {n_th: .nan}", "n_th"),
     ],
 )
 def test_non_finite_or_nonpositive_inputs_exit_one(command, snippet, key, tmp_path, capsys):

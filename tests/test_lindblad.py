@@ -13,6 +13,7 @@ from fluxmaser.errors import (
     TruncationWarning,
 )
 from fluxmaser.lindblad import (
+    MAX_RECORDS,
     RESIDUAL_BOUND,
     _coherence_block,
     diagonal_generator,
@@ -22,6 +23,7 @@ from fluxmaser.lindblad import (
     gain_map,
     generator,
     steady_state_nullspace,
+    step_count,
     thermal_state,
     validate_density_matrix,
 )
@@ -94,7 +96,9 @@ def test_gain_map_leaves_vacuum_at_trapping_phase():
 
 def test_gain_map_matches_joint_space_oracle():
     rho = random_density(17, seed=7)
-    fast = gain_map(rho, 0.7)
+    # a full-rank state populates the top level, which the map reports
+    with pytest.warns(TruncationWarning, match="top Fock level"):
+        fast = gain_map(rho, 0.7)
     slow = joint_gain_oracle(rho, 0.7)
     assert np.max(np.abs(fast - slow)) < 1e-10
 
@@ -213,6 +217,24 @@ def test_evolve_rejects_nonpositive_inputs(t_final, dt, record_every):
     cfg = MaserConfig(n_th=0.1, n_t=1.0, g_tau=1.0, n_max=8)
     with pytest.raises(ValueError, match="need dt"):
         evolve(fock_state(0, 8), cfg, t_final, dt, record_every=record_every)
+
+
+@pytest.mark.parametrize(
+    "t_final, dt, record_every", [(1e300, 1e-300, 10), (1e12, 1e-3, 1), (1e12, 1e-3, 10**6)]
+)
+def test_evolve_rejects_unbounded_step_count(t_final, dt, record_every):
+    cfg = MaserConfig(n_th=0.1, n_t=1.0, g_tau=1.0, n_max=8)
+    with pytest.raises(ValueError, match="t_final/dt"):
+        evolve(fock_state(0, 8), cfg, t_final, dt, record_every=record_every)
+
+
+def test_step_count_allows_exactly_max_records():
+    # steps 0, 1, ..., n - 1 and the final step n: n + 1 records
+    assert step_count(MAX_RECORDS - 1.0, 1.0, 1) == MAX_RECORDS - 1
+    with pytest.raises(ValueError, match=f"over {MAX_RECORDS}"):
+        step_count(float(MAX_RECORDS), 1.0, 1)
+    # the bound is on records, not steps
+    assert step_count(1e15, 1.0, 10**10) == 10**15
 
 
 def test_evolve_warns_when_top_level_populated():

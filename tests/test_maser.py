@@ -35,8 +35,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         MaserConfig(n_max=3)
     for field in ("n_th", "n_t", "g_tau"):
-        with pytest.raises(ValueError):
-            MaserConfig(**{field: math.nan})
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=field):
+                MaserConfig(**{field: value})
 
 
 def test_interaction_time_round_trip():

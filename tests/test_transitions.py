@@ -1,6 +1,7 @@
 """Transition amplitudes, adiabaticity coefficients, and control diagnostics."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from fluxmaser import (
     adiabatic_k,
     adiabatic_rate_check,
     assemble_hamiltonian,
+    circulating_current,
     lowest_eigenpairs,
     point_record,
     potential,
@@ -20,9 +22,14 @@ from fluxmaser import (
     transition_element,
     transition_table,
 )
+from fluxmaser import spectrum
 from fluxmaser.errors import DegenerateGapError
 
+from .conftest import PRODUCTION_GRID, random_operators
+from .oracles import position_element
+
 COARSE = PhaseGrid(41, 81)
+PRODUCTION = PhaseGrid(*PRODUCTION_GRID)
 
 
 def test_element_symmetric_in_indices(spec_resonant):
@@ -93,6 +100,52 @@ def test_ramp_coefficients_at_operating_point(spec_resonant):
     assert k12 == pytest.approx(0.438937, rel=1e-4)
 
 
+def _screening_derivative(params, pp, qq):
+    # U depends on f_s only through cos(pi f_s), affinely, so its slope in
+    # cos(pi f_s) is half the difference between f_s = 0 and f_s = 1
+    at_0, at_1 = (potential(params.replace(f_s=f_s), pp, qq) for f_s in (0.0, 1.0))
+    return -math.pi * math.sin(math.pi * params.f_s) * (at_0 - at_1) / 2
+
+
+def _spectral_cases(request):
+    for name in ("spec_resonant", "spec_offres", "spec_crossing"):
+        yield name, PRODUCTION, request.getfixturevalue(name)
+    for label, grid, op in random_operators():
+        yield label, grid, lowest_eigenpairs(op, 6)
+
+
+def test_elements_match_position_quadrature(request):
+    # the library reads every element in the operator's basis; the position
+    # samples of the same states, quadratured against the current profile
+    # and the potential's flux derivative, must give the same numbers
+    rotated = 0
+    for label, grid, spec in _spectral_cases(request):
+        pp, qq = np.meshgrid(grid.phi_p_axis, grid.phi_q_half_axis, indexing="ij")
+        current = circulating_current(spec.params, pp, qq)
+        d_u = _screening_derivative(spec.params, pp, qq)
+        for i, j in itertools.combinations(range(spec.k), 2):
+            a, b = spec.states[i], spec.states[j]
+            quad = abs(position_element(grid, current, a, b))
+            assert abs(transition_element(spec, i, j) - quad) < 1e-12, f"{label}: t_{i}{j}"
+            try:
+                numerator = adiabatic_k(spec, i, j) * spec.gap(i, j) ** 2 * spec.params.ej_freq
+            except DegenerateGapError:
+                continue
+            quad = abs(position_element(grid, d_u, a, b))
+            assert abs(numerator - quad) < 1e-12, f"{label}: K_{i}{j}"
+        for group in spectrum._degenerate_groups(spec.levels):
+            if len(group) == 1:
+                continue
+            rotated += 1
+            block = np.array(
+                [[-position_element(grid, current, spec.states[a], spec.states[b]) for b in group]
+                 for a in group]
+            )
+            assert np.max(np.abs(block - np.diag(np.diag(block)))) < 1e-12, f"{label}: {group}"
+            assert np.all(np.diff(np.diag(block)) >= -1e-12), f"{label}: {group}"
+    assert rotated > 0
+
+
 def test_ramp_coefficient_grows_toward_crossing(spec_resonant):
     op = assemble_hamiltonian(CircuitParams(f=0.499, f_s=0.27), PhaseGrid(81, 161))
     closer = lowest_eigenpairs(op, 2)
@@ -116,16 +169,14 @@ def test_degenerate_gap_is_numerical_error():
 
 def test_ramp_numerator_matches_finite_difference():
     # the analytic screening-flux derivative must agree with a first-order
-    # finite difference of the potential between the same two eigenstates
+    # finite difference of the assembled Hamiltonian between the same two
+    # eigenstates
     params = CircuitParams(f=0.47, f_s=0.22)
-    spec = lowest_eigenpairs(assemble_hamiltonian(params, COARSE), 3)
+    op = assemble_hamiltonian(params, COARSE)
+    spec = lowest_eigenpairs(op, 3)
     delta = 1e-4
-    pp, qq = np.meshgrid(spec.phi_p_axis, spec.phi_q_axis, indexing="ij")
-    du = (
-        potential(params.replace(f_s=params.f_s + delta), pp, qq)
-        - potential(params, pp, qq)
-    ) / delta
-    fd = abs(np.sum(spec.states[0] * du * spec.states[1]) * spec.weight)
+    shifted = assemble_hamiltonian(params.replace(f_s=params.f_s + delta), COARSE)
+    fd = abs(spec.states[0] @ ((shifted.matrix - op.matrix) @ spec.states[1])) / delta
     analytic = adiabatic_k(spec, 0, 1) * spec.gap(0, 1) ** 2 * params.ej_freq
     assert fd == pytest.approx(analytic, rel=1e-3)
 
