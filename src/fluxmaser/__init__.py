@@ -4,8 +4,8 @@ Layers, bottom to top:
 
 - :mod:`fluxmaser.circuit` — phase-space Hamiltonian of the flux-biased loop;
 - :mod:`fluxmaser.spectrum` — eigenpairs;
-- :mod:`fluxmaser.transitions` — per-point records and sweeps of microwave
-  amplitudes and adiabatic control;
+- :mod:`fluxmaser.transitions` — per-point records of microwave amplitudes
+  and adiabatic control;
 - :mod:`fluxmaser.maser` — steady-state photon statistics (two recursions);
 - :mod:`fluxmaser.lindblad` — master-equation engine and nullspace oracle;
 - :mod:`fluxmaser.device` — physical device estimates;
@@ -36,14 +36,12 @@ from .maser import (
 from .spectrum import EigenSpectrum, lowest_eigenpairs
 from .transitions import (
     PointRecord,
-    TransitionTable,
     adiabatic_k,
     adiabatic_rate_check,
     point_record,
     pumping_feasibility,
     relative_relaxation,
     transition_element,
-    transition_table,
 )
 
 __all__ = [
@@ -59,9 +57,7 @@ __all__ = [
     "lowest_eigenpairs",
     "PointRecord",
     "point_record",
-    "TransitionTable",
     "transition_element",
-    "transition_table",
     "adiabatic_k",
     "adiabatic_rate_check",
     "pumping_feasibility",

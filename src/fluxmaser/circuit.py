@@ -99,11 +99,12 @@ class CircuitParams:
 
 @dataclass(frozen=True)
 class PhaseGrid:
-    """Uniform sampling of the doubled phase cell ``[-pi,pi) x [-2pi,2pi)``.
+    """Resolution ``(n_p, n_q)`` of the phase cell ``[-pi,pi) x [-2pi,2pi)``.
 
-    ``n_q_half`` points cover the reduced domain ``[-pi, pi)`` used by the
-    sector Hamiltonian; the count is chosen so the reduced step matches
-    the full-cell step (``(n_q+1)//2`` points).
+    ``n_p`` fixes the ``phi_p`` harmonics kept, up to ``(n_p - 1)//2``.
+    ``n_q`` counts samples of the doubled ``phi_q`` period; the sector
+    Hamiltonian uses the ``n_q_half = (n_q+1)//2`` sites of the reduced ring
+    ``[-pi, pi)``, whose step matches the doubled-cell step.
     """
 
     n_p: int = 81
@@ -114,22 +115,6 @@ class PhaseGrid:
             raise ValueError(f"n_p must be >= {MIN_N_P}, got {self.n_p}")
         if self.n_q < MIN_N_Q:
             raise ValueError(f"n_q must be >= {MIN_N_Q}, got {self.n_q}")
-
-    @property
-    def h_p(self) -> float:
-        return 2.0 * math.pi / self.n_p
-
-    @property
-    def h_q(self) -> float:
-        return 4.0 * math.pi / self.n_q
-
-    @property
-    def phi_p_axis(self) -> np.ndarray:
-        return -math.pi + self.h_p * np.arange(self.n_p)
-
-    @property
-    def phi_q_axis(self) -> np.ndarray:
-        return -2.0 * math.pi + self.h_q * np.arange(self.n_q)
 
     @property
     def n_q_half(self) -> int:

@@ -296,12 +296,6 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
         cfg = replace(cfg, circuit=replace(cfg.circuit, n_p=n_p, n_q=n_q))
     if args.seed is not None:
         cfg = replace(cfg, sweep=replace(cfg.sweep, seed=args.seed))
-    # a grid the solver would reject is a configuration error, not a numerical
-    # one: surface it before any sweep points are dispatched
-    try:
-        PhaseGrid(cfg.circuit.n_p, cfg.circuit.n_q)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     return cfg
 
 
@@ -347,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "estimate-device":
             return cmd_estimate_device(cfg, out_dir)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:

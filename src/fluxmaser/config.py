@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 
 import yaml
 
-from .circuit import CircuitParams
+from .circuit import CircuitParams, PhaseGrid
 from .errors import ConfigError
 from .lindblad import step_count
 from .maser import MaserConfig
@@ -44,8 +44,9 @@ class CircuitBlock:
     def __post_init__(self) -> None:
         if self.sector not in ("even", "odd"):
             raise ValueError(f"sector must be 'even' or 'odd', got {self.sector!r}")
-        # the energy scales are checked here, before any command uses them
+        # the energy scales and the grid are checked here, before any command uses them
         CircuitParams(gamma=self.gamma, ej_over_ec=self.ej_over_ec, ej_freq=self.ej_freq)
+        PhaseGrid(self.n_p, self.n_q)
 
 
 @dataclass(frozen=True)
@@ -79,6 +80,10 @@ class SweepBlock:
 def _maser_config(n_t: float, tau_int_over_pi: float, n_th: float, n_max: int) -> MaserConfig:
     if not 0 <= tau_int_over_pi < math.inf:
         raise ValueError(f"tau_int_over_pi must be finite and >= 0, got {tau_int_over_pi}")
+    if n_t <= 0:
+        raise ValueError(
+            f"n_t must be > 0, got {n_t}: tau_int_over_pi fixes g_tau = tau_int/sqrt(n_t)"
+        )
     return MaserConfig.from_interaction_time(n_t, tau_int_over_pi * math.pi, n_th=n_th, n_max=n_max)
 
 
@@ -206,8 +211,6 @@ def _coerce(value, target_type, key):
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{key}: expected numeric entries: {exc}") from exc
-    if isinstance(value, target_type) and target_type is not object:
-        return value
     raise ConfigError(f"{key}: expected {target_type.__name__}, got {value!r}")
 
 
@@ -216,13 +219,11 @@ def _build_block(cls, data: dict, path: str):
     unknown = set(data) - set(known)
     if unknown:
         raise ConfigError(f"unknown key(s) in {path}: {sorted(unknown)}")
+    # annotations are strings (postponed evaluation): the leading word names the type
+    hints = {"float": float, "int": int, "str": str, "tuple": tuple}
     kwargs = {}
     for name, value in data.items():
-        f = known[name]
-        base = f.type if isinstance(f.type, type) else None
-        if base is None:
-            hints = {"float": float, "int": int, "str": str, "tuple": tuple}
-            base = next((t for n, t in hints.items() if str(f.type).startswith(n)), object)
+        base = next(t for n, t in hints.items() if known[name].type.startswith(n))
         kwargs[name] = _coerce(value, base, f"{path}.{name}")
     try:
         return cls(**kwargs)

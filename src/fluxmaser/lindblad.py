@@ -10,11 +10,12 @@ term is ordinary Poissonian gain; the second-order term is the correction
 for regular (sub-Poissonian) arming of the emitter.  Everything is expressed
 in cavity-lifetime units: ``kappa = 1`` and ``r_a = n_t``.
 
-``gain_map``, ``dissipator`` and ``generator`` are the matrix-form
-definitions.  The generator keeps the coherence order ``d = n - m`` and is a
-four-diagonal band on each diagonal of rho, built in closed form by
-``_coherence_block``.  Two independent routes to the steady state use these
-blocks to validate the closed-form recursions elsewhere: time evolution
+``gain_map`` is the closed form of ``M``.  The generator keeps the coherence
+order ``d = n - m`` and is a four-diagonal band on each diagonal of rho,
+built in closed form by ``_coherence_block``; the matrix-form generator and
+dissipator it is checked against live with the test oracles.  Two
+independent routes to the steady state use these blocks to validate the
+closed-form recursions elsewhere: time evolution
 (``evolve``, each occupied diagonal of rho advanced by a cached dense
 exponential of its block) and the ``d = 0`` nullspace
 (``steady_state_nullspace``, one O(n_max) sparse solve).
@@ -36,9 +37,8 @@ from .errors import AmbiguousSteadyStateError, InvariantViolation, TruncationWar
 from .maser import MaserConfig, PhotonDistribution, _finalize
 
 __all__ = [
-    "validate_density_matrix", "fock_state", "thermal_state", "gain_map", "dissipator",
-    "generator", "Trajectory", "evolve", "step_count", "diagonal_generator",
-    "steady_state_nullspace",
+    "validate_density_matrix", "fock_state", "gain_map", "Trajectory", "evolve", "step_count",
+    "diagonal_generator", "steady_state_nullspace",
 ]
 
 TOP_LEVEL_TOL = 1e-10
@@ -73,12 +73,6 @@ def fock_state(n: int, n_max: int) -> np.ndarray:
     return rho
 
 
-def thermal_state(n_th: float, n_max: int) -> np.ndarray:
-    q = n_th / (n_th + 1.0)
-    diag = (1.0 - q) * q ** np.arange(n_max + 1)
-    return np.diag(diag / diag.sum()).astype(complex)
-
-
 def gain_map(rho: np.ndarray, g_tau: float) -> np.ndarray:
     """Cavity state after one transit of an excited emitter, traced over it.
 
@@ -104,43 +98,6 @@ def gain_map(rho: np.ndarray, g_tau: float) -> np.ndarray:
     out = np.outer(cos_vec, cos_vec) * rho
     out[1:, 1:] += np.outer(sin_vec[1:], sin_vec[1:]) * rho[:-1, :-1]
     return out
-
-
-def dissipator(rho: np.ndarray, n_th: float) -> np.ndarray:
-    """Thermal-bath Lindblad term with downward and upward photon exchange.
-
-    Implemented with shift-and-scale operations (exact, no matrix products),
-    using the Lindblad form of the *truncated* ladder operators: the upward
-    anticommutator weight is ``diag(1, .., n_max, 0)`` — the top Fock level
-    is a reflecting boundary, not a leak — so the trace is annihilated
-    identically for any input.  The mean-photon flow ``-(<n> - n_th)``
-    is exact whenever the top level is unpopulated.
-    """
-    size = rho.shape[0]
-    n = np.arange(size, dtype=float)
-    root = np.sqrt(n[1:])  # sqrt(1..n_max)
-
-    down = np.zeros_like(rho)
-    down[:-1, :-1] = np.outer(root, root) * rho[1:, 1:]
-    anti_down = 0.5 * (n[:, None] + n[None, :]) * rho
-
-    up = np.zeros_like(rho)
-    up[1:, 1:] = np.outer(root, root) * rho[:-1, :-1]
-    up_weight = n + 1.0
-    up_weight[-1] = 0.0
-    anti_up = 0.5 * (up_weight[:, None] + up_weight[None, :]) * rho
-
-    return (n_th + 1.0) * (down - anti_down) + n_th * (up - anti_up)
-
-
-def generator(rho: np.ndarray, cfg: MaserConfig) -> np.ndarray:
-    """Right-hand side ``drho/dt`` of the master equation."""
-    r_a = cfg.n_t
-    if r_a == 0.0:
-        return dissipator(rho, cfg.n_th)
-    first = gain_map(rho, cfg.g_tau) - rho
-    second = gain_map(first, cfg.g_tau) - first
-    return r_a * first - 0.5 * r_a * second + dissipator(rho, cfg.n_th)
 
 
 def _coherence_block(cfg: MaserConfig, d: int) -> sp.csr_matrix:

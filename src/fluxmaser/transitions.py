@@ -6,6 +6,9 @@ the vacuum flux amplitude).  The adiabaticity coefficient ``K_ij`` measures
 how slowly the SQUID flux must be ramped for the state to follow:
 ``K_ij * |d f_s/dt| << 1`` with the ramp rate in 1/ns.  Both are
 ``|v_i . A v_j|`` with ``A`` the spectrum's ``current`` or ``dh_dfs``.
+
+``point_record`` solves one ``(f, f_s)`` point and reads these off it; the
+flux sweeps are the CLI's spectral commands, one ``point_record`` per point.
 """
 
 from __future__ import annotations
@@ -21,11 +24,9 @@ from .spectrum import EigenSpectrum, lowest_eigenpairs
 
 __all__ = [
     "PointRecord",
-    "TransitionTable",
     "point_record",
     "transition_element",
     "adiabatic_k",
-    "transition_table",
     "adiabatic_rate_check",
     "pumping_feasibility",
     "relative_relaxation",
@@ -124,53 +125,6 @@ def point_record(
         solves=spec.solves,
         harmonics=spec.harmonics,
         max_residual=float(spec.residuals.max()),
-    )
-
-
-@dataclass
-class TransitionTable:
-    """Levels, transition amplitudes and adiabaticity along a flux sweep.
-
-    Row ``n`` is the :class:`PointRecord` at ``f_values[n]``; ``levels`` is
-    ``(n, k)`` and ``k_01``/``k_12`` hold NaN at crossings.
-    """
-
-    params: CircuitParams
-    grid: PhaseGrid
-    f_values: np.ndarray
-    levels: np.ndarray
-    t_01: np.ndarray
-    t_02: np.ndarray
-    t_12: np.ndarray
-    k_01: np.ndarray
-    k_12: np.ndarray
-
-    def gap(self, i: int, j: int) -> np.ndarray:
-        return self.levels[:, j] - self.levels[:, i]
-
-
-def transition_table(
-    params: CircuitParams,
-    grid: PhaseGrid,
-    f_values,
-    *,
-    k: int = 6,
-    sector: str = "even",
-    seed: int = 0,
-) -> TransitionTable:
-    """Sweep ``f`` at fixed ``f_s``: one :func:`point_record` per value."""
-    f_values = np.asarray(f_values, dtype=np.float64)
-    records = [
-        point_record(params.replace(f=float(f)), grid, k=k, sector=sector, seed=seed)
-        for f in f_values
-    ]
-    columns = ("t_01", "t_02", "t_12", "k_01", "k_12")
-    return TransitionTable(
-        params=params,
-        grid=grid,
-        f_values=f_values,
-        levels=np.array([r.levels for r in records]).reshape(f_values.size, k),
-        **{name: np.array([getattr(r, name) for r in records]) for name in columns},
     )
 
 

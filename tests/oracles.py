@@ -5,6 +5,7 @@ whenever the production implementations change, the equivalence tests must
 keep passing against these.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -14,6 +15,21 @@ from scipy.linalg import eigh, expm
 
 from fluxmaser.circuit import potential
 from fluxmaser.errors import TruncationWarning
+from fluxmaser.lindblad import gain_map
+from fluxmaser.maser import MaserConfig
+
+
+def torus_axes(grid):
+    """Samples and steps of the doubled cell ``[-pi, pi) x [-2pi, 2pi)``.
+
+    Returns ``(phi_p_axis, h_p, phi_q_axis, h_q)``: ``grid.n_p`` points of
+    step ``2 pi/n_p`` from ``-pi`` and ``grid.n_q`` of step ``4 pi/n_q`` from
+    ``-2 pi``.  The library itself uses only the reduced ``phi_q`` ring.
+    """
+    h_p, h_q = 2.0 * math.pi / grid.n_p, 4.0 * math.pi / grid.n_q
+    phi_p_axis = -math.pi + h_p * np.arange(grid.n_p)
+    phi_q_axis = -2.0 * math.pi + h_q * np.arange(grid.n_q)
+    return phi_p_axis, h_p, phi_q_axis, h_q
 
 
 def _minus_d2(n: int, h: float) -> sp.csr_matrix:
@@ -30,16 +46,18 @@ def _minus_d2(n: int, h: float) -> sp.csr_matrix:
 def torus_hamiltonian(params, grid, zero_potential=False) -> sp.csr_matrix:
     """Literal 5-point finite-difference Hamiltonian on the full doubled cell.
 
-    Rows and columns run over ``(phi_p_axis, phi_q_axis)`` of ``grid`` with
-    ``phi_q`` fastest.  Its spectrum is the union of both symmetry sectors,
-    so it is the reference the sector operator is checked against.  With
+    Rows and columns run over ``(phi_p_axis, phi_q_axis)`` of
+    :func:`torus_axes` with ``phi_q`` fastest.  Its spectrum is the union of
+    both symmetry sectors, so it is the reference the sector operator is
+    checked against.  With
     ``zero_potential=True`` only the kinetic terms are kept (plane-wave
     checks); the constant vector is then a null vector.
     """
-    ham = params.c_p * sp.kron(_minus_d2(grid.n_p, grid.h_p), sp.identity(grid.n_q), format="csr")
-    ham = ham + params.c_q * sp.kron(sp.identity(grid.n_p), _minus_d2(grid.n_q, grid.h_q), format="csr")
+    phi_p_axis, h_p, phi_q_axis, h_q = torus_axes(grid)
+    ham = params.c_p * sp.kron(_minus_d2(grid.n_p, h_p), sp.identity(grid.n_q), format="csr")
+    ham = ham + params.c_q * sp.kron(sp.identity(grid.n_p), _minus_d2(grid.n_q, h_q), format="csr")
     if not zero_potential:
-        pp, qq = np.meshgrid(grid.phi_p_axis, grid.phi_q_axis, indexing="ij")
+        pp, qq = np.meshgrid(phi_p_axis, phi_q_axis, indexing="ij")
         ham = ham + sp.diags(potential(params, pp, qq).ravel())
     return ham.tocsr()
 
@@ -57,7 +75,7 @@ def sector_hamiltonian_dense(params, grid, sector: str) -> np.ndarray:
     the half-period shift ``phi_p -> phi_p + pi``, times the sector sign.
     """
     assert grid.n_p % 2 == 0, "phi_p quadrature is exact only at even n_p"
-    phi_p, h_p = grid.phi_p_axis, grid.h_p
+    phi_p, h_p = torus_axes(grid)[:2]
     modes, harmonics = [lambda x: np.full_like(x, 1.0 / np.sqrt(2.0 * np.pi))], [0]
     for m in range(1, (grid.n_p - 1) // 2 + 1):
         modes.append(lambda x, m=m: np.cos(m * x) / np.sqrt(np.pi))
@@ -87,12 +105,12 @@ def position_samples(grid, vec: np.ndarray) -> np.ndarray:
 
     ``vec`` runs over (trig ``phi_p`` mode, ring site) like the sector
     operator, with the modes of ``sector_hamiltonian_dense``.  The result is
-    sampled on ``(grid.phi_p_axis, grid.phi_q_half_axis)`` and an l2-unit
-    ``vec`` comes out unit-normalised under the quadrature weight
-    ``grid.h_p * grid.h_q_half``.
+    sampled on ``(phi_p_axis, grid.phi_q_half_axis)`` and an l2-unit ``vec``
+    comes out unit-normalised under the quadrature weight
+    ``h_p * grid.h_q_half`` (``phi_p_axis`` and ``h_p`` of :func:`torus_axes`).
     """
     index = np.arange(2 * ((grid.n_p - 1) // 2) + 1)
-    phase = np.outer(grid.phi_p_axis, (index + 1) // 2)
+    phase = np.outer(torus_axes(grid)[0], (index + 1) // 2)
     basis = np.where(index % 2 == 0, np.sin(phase), np.cos(phase)) / np.sqrt(np.pi)
     basis[:, 0] = 1.0 / np.sqrt(2.0 * np.pi)
     return basis @ vec.reshape(index.size, grid.n_q_half) / np.sqrt(grid.h_q_half)
@@ -106,7 +124,7 @@ def position_element(grid, profile: np.ndarray, a: np.ndarray, b: np.ndarray) ->
     is exact while the states use harmonics up to ``(n_p - 2)/2``: always at
     even ``n_p``, and at odd ``n_p`` for a truncated solve.
     """
-    weight = grid.h_p * grid.h_q_half
+    weight = torus_axes(grid)[1] * grid.h_q_half
     return float(np.sum(position_samples(grid, a) * profile * position_samples(grid, b)) * weight)
 
 
@@ -153,6 +171,49 @@ def joint_gain_oracle(rho: np.ndarray, g_tau: float) -> np.ndarray:
     return field[:size, :size]
 
 
+def thermal_state(n_th: float, n_max: int) -> np.ndarray:
+    q = n_th / (n_th + 1.0)
+    diag = (1.0 - q) * q ** np.arange(n_max + 1)
+    return np.diag(diag / diag.sum()).astype(complex)
+
+
+def dissipator(rho: np.ndarray, n_th: float) -> np.ndarray:
+    """Thermal-bath Lindblad term with downward and upward photon exchange.
+
+    Implemented with shift-and-scale operations (exact, no matrix products),
+    using the Lindblad form of the *truncated* ladder operators: the upward
+    anticommutator weight is ``diag(1, .., n_max, 0)`` — the top Fock level
+    is a reflecting boundary, not a leak — so the trace is annihilated
+    identically for any input.  The mean-photon flow ``-(<n> - n_th)``
+    is exact whenever the top level is unpopulated.
+    """
+    size = rho.shape[0]
+    n = np.arange(size, dtype=float)
+    root = np.sqrt(n[1:])  # sqrt(1..n_max)
+
+    down = np.zeros_like(rho)
+    down[:-1, :-1] = np.outer(root, root) * rho[1:, 1:]
+    anti_down = 0.5 * (n[:, None] + n[None, :]) * rho
+
+    up = np.zeros_like(rho)
+    up[1:, 1:] = np.outer(root, root) * rho[:-1, :-1]
+    up_weight = n + 1.0
+    up_weight[-1] = 0.0
+    anti_up = 0.5 * (up_weight[:, None] + up_weight[None, :]) * rho
+
+    return (n_th + 1.0) * (down - anti_down) + n_th * (up - anti_up)
+
+
+def generator(rho: np.ndarray, cfg: MaserConfig) -> np.ndarray:
+    """Right-hand side ``drho/dt`` of the master equation."""
+    r_a = cfg.n_t
+    if r_a == 0.0:
+        return dissipator(rho, cfg.n_th)
+    first = gain_map(rho, cfg.g_tau) - rho
+    second = gain_map(first, cfg.g_tau) - first
+    return r_a * first - 0.5 * r_a * second + dissipator(rho, cfg.n_th)
+
+
 def probed_diagonal_generator(cfg, second_order=True, d=0) -> np.ndarray:
     """Generator on the ``d``-th diagonal of rho, probed column by column.
 
@@ -162,8 +223,6 @@ def probed_diagonal_generator(cfg, second_order=True, d=0) -> np.ndarray:
     With ``second_order=False`` only the Poissonian ``r_a (M - 1) + L`` is
     kept, the reference for the two-term atomic recursion.
     """
-    from fluxmaser.lindblad import dissipator, gain_map, generator
-
     size = cfg.n_max + 1
     matrix = np.empty((size - abs(d), size - abs(d)))
     with warnings.catch_warnings():
@@ -189,8 +248,6 @@ def nullspace_vector(matrix: np.ndarray) -> np.ndarray:
 
 def expm_reference(rho0: np.ndarray, cfg, t: float) -> np.ndarray:
     """``exp(G t) rho0`` by dense ``expm``, ``G`` probed from the matrix-form ``generator``."""
-    from fluxmaser.lindblad import generator
-
     size = rho0.shape[0]
     superop = np.empty((size * size, size * size), dtype=complex)
     with warnings.catch_warnings():

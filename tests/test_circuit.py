@@ -18,7 +18,7 @@ from fluxmaser import (
 )
 
 from .conftest import random_operators
-from .oracles import dense_levels, sector_hamiltonian_dense, torus_hamiltonian
+from .oracles import dense_levels, sector_hamiltonian_dense, torus_axes, torus_hamiltonian
 
 finite_phase = st.floats(-8.0, 8.0, allow_nan=False)
 
@@ -139,7 +139,8 @@ def test_torus_operator_applies_potential_to_constants():
     p = CircuitParams(f=0.37, f_s=0.21)
     grid = PhaseGrid(16, 32)
     matrix = torus_hamiltonian(p, grid)
-    pp, qq = np.meshgrid(grid.phi_p_axis, grid.phi_q_axis, indexing="ij")
+    phi_p_axis, _, phi_q_axis, _ = torus_axes(grid)
+    pp, qq = np.meshgrid(phi_p_axis, phi_q_axis, indexing="ij")
     expected = potential(p, pp, qq).ravel()
     assert np.max(np.abs(matrix @ np.ones(matrix.shape[0]) - expected)) < 1e-12
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import fluxmaser
-from fluxmaser import CircuitParams, PhaseGrid, transition_table
+from fluxmaser import CircuitParams, PhaseGrid, point_record
 from fluxmaser.cli import (
     BLAS_THREAD_ENV,
     WORKERS_ENV,
@@ -350,6 +350,12 @@ def test_evolve_unbounded_step_count_exits_one_without_traceback(snippet, tmp_pa
         ("evolve", "evolve: {n_t: .inf}", "n_t"),
         ("evolve", "evolve: {tau_int_over_pi: .inf}", "tau_int_over_pi"),
         ("evolve", "evolve: {n_th: .nan}", "n_th"),
+        ("evolve", "evolve: {n_t: 0.0}", "n_t"),
+        ("fig4", "maser: {cases: [[0.0, 1.4]]}", "n_t"),
+        ("fig2", "circuit: {n_p: 8}", "n_p"),
+        ("fig4", "circuit: {n_p: 8}", "n_p"),
+        ("fig2", "circuit: {n_q: 16}", "n_q"),
+        ("fig4", "circuit: {n_q: 16}", "n_q"),
     ],
 )
 def test_non_finite_or_nonpositive_inputs_exit_one(command, snippet, key, tmp_path, capsys):
@@ -357,7 +363,10 @@ def test_non_finite_or_nonpositive_inputs_exit_one(command, snippet, key, tmp_pa
     cfg.write_text(snippet + "\n")
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
-    assert key in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # the message names the config block and key, not the library call behind them
+    assert key in err and snippet.split(":")[0] in err
+    assert "from_interaction_time" not in err
     assert not out.exists() or not os.listdir(out)
 
 
@@ -384,23 +393,25 @@ def test_sweep_covers_all_screening_values(tmp_path):
         assert len(body) == 2
 
 
-def test_sweep_csv_is_a_projection_of_transition_table(tiny_config, tmp_path):
+def test_sweep_csv_is_a_projection_of_point_record(tiny_config, tmp_path):
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(tiny_config), "--out", str(out), "--workers", "1"]) == 0
     _, header, body = read_rows(out / "sweep_fs_0.27.csv")
     f_values = np.linspace(0.48, 0.50, 3)
-    table = transition_table(CircuitParams(f_s=0.27), PhaseGrid(41, 81), f_values, k=4)
+    records = [
+        point_record(CircuitParams(f=float(f), f_s=0.27), PhaseGrid(41, 81), k=4) for f in f_values
+    ]
     columns = {
         "f": f_values,
         "f_s": np.full(3, 0.27),
-        "gap_01": table.gap(0, 1),
-        "gap_02": table.gap(0, 2),
-        "gap_12": table.gap(1, 2),
-        "t_01": table.t_01,
-        "t_02": table.t_02,
-        "t_12": table.t_12,
-        "K_01": table.k_01,
-        "K_12": table.k_12,
+        "gap_01": [r.levels[1] - r.levels[0] for r in records],
+        "gap_02": [r.levels[2] - r.levels[0] for r in records],
+        "gap_12": [r.levels[2] - r.levels[1] for r in records],
+        "t_01": [r.t_01 for r in records],
+        "t_02": [r.t_02 for r in records],
+        "t_12": [r.t_12 for r in records],
+        "K_01": [r.k_01 for r in records],
+        "K_12": [r.k_12 for r in records],
     }
     assert body == [[_fmt(columns[name][n], 12) for name in header] for n in range(3)]
 
@@ -415,6 +426,8 @@ def test_unknown_config_key_exits_one(tmp_path, capsys):
 def test_bad_grid_flag_exits_one(tmp_path, capsys):
     assert main(["fig2", "--grid", "81by161", "--out", str(tmp_path)]) == 1
     assert "NPxNQ" in capsys.readouterr().err
+    assert main(["fig2", "--grid", "8x81", "--out", str(tmp_path)]) == 1
+    assert "n_p must be >= 16" in capsys.readouterr().err
 
 
 def test_version_flag():

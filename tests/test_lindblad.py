@@ -17,19 +17,24 @@ from fluxmaser.lindblad import (
     RESIDUAL_BOUND,
     _coherence_block,
     diagonal_generator,
-    dissipator,
     evolve,
     fock_state,
     gain_map,
-    generator,
     steady_state_nullspace,
     step_count,
-    thermal_state,
     validate_density_matrix,
 )
 from fluxmaser.maser import steady_state_atomic, steady_state_sqc
 
-from .oracles import expm_reference, joint_gain_oracle, nullspace_vector, probed_diagonal_generator
+from .oracles import (
+    dissipator,
+    expm_reference,
+    generator,
+    joint_gain_oracle,
+    nullspace_vector,
+    probed_diagonal_generator,
+    thermal_state,
+)
 
 
 def random_density(size, seed, support=None):

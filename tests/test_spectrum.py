@@ -10,8 +10,8 @@ from fluxmaser import (
     adiabatic_k,
     assemble_hamiltonian,
     lowest_eigenpairs,
+    point_record,
     transition_element,
-    transition_table,
 )
 from fluxmaser import spectrum
 
@@ -86,20 +86,26 @@ def test_upper_pair_nearly_touches_at_symmetric_point(spec_crossing):
     assert spec_crossing.gap(2, 3) < 1e-3
 
 
+def _sweep_levels(f_s, f_values):
+    """Levels along ``f`` at fixed ``f_s``, one ``point_record`` per value."""
+    return np.array(
+        [point_record(CircuitParams(f=float(f), f_s=f_s), COARSE, k=4).levels for f in f_values]
+    )
+
+
 def test_sweep_levels_continuous():
     # no eigenvalue may jump by more than 10x the drive-coupling slope bound
     # (2*pi per unit f) between adjacent scan points
-    f_values = np.linspace(0.49, 0.50, 11)
-    sweep = transition_table(CircuitParams(f_s=0.27), COARSE, f_values, k=4)
-    assert sweep.levels.shape == (11, 4)
-    assert np.max(np.abs(np.diff(sweep.levels, axis=0))) < 10 * 2 * np.pi * 0.001
+    levels = _sweep_levels(0.27, np.linspace(0.49, 0.50, 11))
+    assert levels.shape == (11, 4)
+    assert np.max(np.abs(np.diff(levels, axis=0))) < 10 * 2 * np.pi * 0.001
 
 
 def test_sweep_deterministic():
     f_values = np.linspace(0.48, 0.50, 5)
-    a = transition_table(CircuitParams(f_s=0.22), COARSE, f_values, k=4)
-    b = transition_table(CircuitParams(f_s=0.22), COARSE, f_values, k=4)
-    assert np.max(np.abs(a.levels - b.levels)) < 1e-12
+    a = _sweep_levels(0.22, f_values)
+    b = _sweep_levels(0.22, f_values)
+    assert np.max(np.abs(a - b)) < 1e-12
 
 
 # -- certified phi_p harmonic truncation -------------------------------------
