@@ -5,6 +5,10 @@ sweeps (``fig2``), adiabaticity sweeps (``fig3``), steady-state photon
 distributions (``fig4``), direct time integration (``evolve``), device-scale
 estimates (``estimate-device``) and a generic combined sweep (``sweep``).
 
+Everything that shapes the CSVs is set in the YAML configuration, and so
+in its content hash; the command line says only where to read (``--config``)
+and write (``--out``) and how many processes to use (``--workers``).
+
 Every CSV starts with comment lines carrying the tool version and a content
 hash of the resolved configuration; floats are rendered with a fixed number
 of significant digits and rows are emitted in a fixed order, so identical
@@ -17,7 +21,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
 from functools import partial
 from itertools import islice
 from multiprocessing import get_context
@@ -34,7 +37,6 @@ from .lindblad import fock_state
 from .maser import steady_state_atomic, steady_state_sqc
 from .transitions import PointRecord, point_record
 
-WORKERS_ENV = "FLUXMASER_WORKERS"
 MAX_FAILURE_FRACTION = 0.01
 BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -52,18 +54,23 @@ def _write_csv(path: str, comments: list[str], header: list[str], rows: list[lis
             handle.write(",".join(row) + "\n")
 
 
-def _resolve_workers(flag: int | None, cfg: RunConfig) -> int:
-    env = os.environ.get(WORKERS_ENV)
-    if flag is None and env:
-        try:
-            flag = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"{WORKERS_ENV} must be an integer, got {env!r}") from exc
+def _resolve_workers(flag: int | None) -> int:
     if flag is None:
-        return cfg.output.workers or os.cpu_count() or 1
+        return os.cpu_count() or 1
     if flag < 1:
-        raise ConfigError(f"--workers and {WORKERS_ENV} must be >= 1, got {flag}")
+        raise ConfigError(f"--workers must be >= 1, got {flag}")
     return flag
+
+
+def _check_stems(stems: list[str], entries: list, key: str) -> None:
+    """Reject entries of ``key`` whose CSVs would share a name and overwrite each other."""
+    seen = {}
+    for stem, entry in zip(stems, entries):
+        if stem in seen:
+            raise ConfigError(
+                f"{key}: entries {seen[stem]} and {entry} would both write {stem}.csv"
+            )
+        seen[stem] = entry
 
 
 def _parallel_map(func, tasks, workers: int):
@@ -153,6 +160,7 @@ def cmd_spectral(command: str, cfg: RunConfig, out_dir: str, workers: int) -> in
     f_axis = np.linspace(s.f_start, s.f_stop, s.f_points)
     if per_f_s:
         files = [(f"{command}_fs_{f_s:g}", [f"f_s: {f_s:g}"], [f_s]) for f_s in f_s_values]
+        _check_stems([stem for stem, *_ in files], list(f_s_values), f"sweep.{f_s_field}")
     else:
         files = [(command, [], f_s_values)]
     base = CircuitParams(gamma=c.gamma, ej_over_ec=c.ej_over_ec, ej_freq=c.ej_freq)
@@ -199,7 +207,10 @@ def cmd_spectral(command: str, cfg: RunConfig, out_dir: str, workers: int) -> in
 
 def cmd_fig4(cfg: RunConfig, out_dir: str) -> int:
     digits = cfg.output.digits
-    for (n_t, tau_over_pi), mcfg in zip(cfg.maser.cases, cfg.maser.maser_configs()):
+    cases = cfg.maser.cases
+    stems = [f"fig4_Nt_{n_t:g}_tau_{tau_over_pi:g}pi" for n_t, tau_over_pi in cases]
+    _check_stems(stems, [list(case) for case in cases], "maser.cases")
+    for stem, (n_t, tau_over_pi), mcfg in zip(stems, cases, cfg.maser.maser_configs()):
         sqc = steady_state_sqc(mcfg)
         atomic = steady_state_atomic(mcfg)
         size = max(sqc.p.size, atomic.p.size)
@@ -215,7 +226,6 @@ def cmd_fig4(cfg: RunConfig, out_dir: str) -> int:
         rows = [
             [str(n), _fmt(p_sqc[n], digits), _fmt(p_atomic[n], digits)] for n in range(size)
         ]
-        stem = f"fig4_Nt_{n_t:g}_tau_{tau_over_pi:g}pi"
         _write_csv(os.path.join(out_dir, f"{stem}.csv"), comments, ["n", "p_sqc", "p_atomic"], rows)
     return 0
 
@@ -287,18 +297,6 @@ def cmd_estimate_device(cfg: RunConfig, out_dir: str | None) -> int:
     return 0
 
 
-def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    if args.grid:
-        try:
-            n_p, n_q = (int(part) for part in args.grid.lower().split("x"))
-        except ValueError as exc:
-            raise ConfigError(f"--grid expects NPxNQ, got {args.grid!r}") from exc
-        cfg = replace(cfg, circuit=replace(cfg.circuit, n_p=n_p, n_q=n_q))
-    if args.seed is not None:
-        cfg = replace(cfg, sweep=replace(cfg.sweep, seed=args.seed))
-    return cfg
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fluxmaser",
@@ -309,8 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", metavar="PATH", help="YAML run configuration")
     common.add_argument("--out", metavar="DIR", default=".", help="output directory")
     common.add_argument("--workers", type=int, metavar="N", help="worker processes for sweeps")
-    common.add_argument("--grid", metavar="NPxNQ", help="override grid, e.g. 81x161")
-    common.add_argument("--seed", type=int, metavar="S", help="eigensolver start-vector seed")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
         ("fig2", "levels and transition amplitudes vs f, one CSV per f_s"),
@@ -328,8 +324,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _apply_overrides(load_config(args.config), args)
-        workers = _resolve_workers(args.workers, cfg)
+        cfg = load_config(args.config)
+        workers = _resolve_workers(args.workers)
         out_dir = args.out
         os.makedirs(out_dir, exist_ok=True)
         if args.command in SPECTRAL:

@@ -160,14 +160,11 @@ class CavityBlock:
 @dataclass(frozen=True)
 class OutputBlock:
     digits: int = 12
-    workers: int | None = None
 
     def __post_init__(self) -> None:
         # 17 significant digits round-trip any double; fewer than 1 is no number
         if not 1 <= self.digits <= 17:
             raise ValueError(f"digits must be between 1 and 17, got {self.digits}")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass(frozen=True)
@@ -190,28 +187,32 @@ _BLOCKS = {
 }
 
 
-def _coerce(value, target_type, key):
-    if value is None:
-        return None
-    if target_type is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    if target_type is int:
+def _number(value, key: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key}: expected a number, got {value!r}")
+    return float(value)
+
+
+def _coerce(value, annotation: str, key: str):
+    """``value`` checked against its field's annotation; every message names ``key``."""
+    if annotation == "float":
+        return _number(value, key)
+    if annotation == "int":
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{key}: expected integer, got {value!r}")
         return value
-    if target_type is str and isinstance(value, str):
+    if annotation == "str":
+        if not isinstance(value, str):
+            raise ConfigError(f"{key}: expected a string, got {value!r}")
         return value
-    if target_type is tuple:
-        if not isinstance(value, list):
-            raise ConfigError(f"{key}: expected a list, got {value!r}")
-        try:
-            return tuple(
-                tuple(float(x) for x in item) if isinstance(item, list) else float(item)
-                for item in value
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{key}: expected numeric entries: {exc}") from exc
-    raise ConfigError(f"{key}: expected {target_type.__name__}, got {value!r}")
+    # tuple[float, ...], or a tuple of such tuples (maser.cases) for a nested annotation
+    nested = annotation.startswith("tuple[tuple")
+    if not isinstance(value, list) or any(isinstance(item, list) != nested for item in value):
+        shape = "a list of lists of numbers" if nested else "a list of numbers"
+        raise ConfigError(f"{key}: expected {shape}, got {value!r}")
+    if nested:
+        return tuple(tuple(_number(x, key) for x in item) for item in value)
+    return tuple(_number(x, key) for x in value)
 
 
 def _build_block(cls, data: dict, path: str):
@@ -219,12 +220,10 @@ def _build_block(cls, data: dict, path: str):
     unknown = set(data) - set(known)
     if unknown:
         raise ConfigError(f"unknown key(s) in {path}: {sorted(unknown)}")
-    # annotations are strings (postponed evaluation): the leading word names the type
-    hints = {"float": float, "int": int, "str": str, "tuple": tuple}
-    kwargs = {}
-    for name, value in data.items():
-        base = next(t for n, t in hints.items() if known[name].type.startswith(n))
-        kwargs[name] = _coerce(value, base, f"{path}.{name}")
+    # annotations are strings (postponed evaluation), e.g. "int" or "tuple[float, ...]"
+    kwargs = {
+        name: _coerce(value, known[name].type, f"{path}.{name}") for name, value in data.items()
+    }
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -259,12 +258,7 @@ def load_config(path: str | None = None) -> RunConfig:
 
 
 def config_digest(cfg: RunConfig) -> str:
-    """Stable content hash of a resolved configuration.
-
-    The worker count only decides how the work is spread, not what is
-    computed, so it is left out: outputs stay byte-identical whichever way
-    it is set.
-    """
+    """Stable content hash of a resolved configuration."""
     import hashlib
     import json
 
@@ -277,6 +271,5 @@ def config_digest(cfg: RunConfig) -> str:
             return repr(obj)
         return obj
 
-    content = dataclasses.replace(cfg, output=dataclasses.replace(cfg.output, workers=None))
-    payload = json.dumps(canon(content), sort_keys=True)
+    payload = json.dumps(canon(cfg), sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]

@@ -49,8 +49,9 @@ class CavityParams:
 
     def __post_init__(self) -> None:
         for name in ("area", "height", "quality", "squid_area"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 def cavity_frequency(gap_over_ej: float, ej_freq: float) -> float:
@@ -157,10 +158,13 @@ def device_report(
 ) -> DeviceReport:
     """Assemble the full estimate chain from circuit outputs and geometry.
 
-    Non-finite or non-positive ``gap_over_ej``, ``t_01``, ``beta_l`` or
-    ``n_t`` raise ``ValueError`` naming the argument.
+    A non-finite or non-positive number argument raises ``ValueError``
+    naming it.
     """
-    inputs = {"gap_over_ej": gap_over_ej, "t_01": t_01, "beta_l": beta_l, "n_t": n_t}
+    inputs = dict(
+        gap_over_ej=gap_over_ej, t_01=t_01, ej_freq=ej_freq, beta_l=beta_l, n_t=n_t,
+        interaction_phase=interaction_phase,
+    )
     for name, value in inputs.items():
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, got {value}")

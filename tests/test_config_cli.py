@@ -13,16 +13,9 @@ import numpy as np
 import pytest
 
 import fluxmaser
-from fluxmaser import CircuitParams, PhaseGrid, point_record
-from fluxmaser.cli import (
-    BLAS_THREAD_ENV,
-    WORKERS_ENV,
-    _fmt,
-    _parallel_map,
-    _resolve_workers,
-    main,
-)
-from fluxmaser.config import OutputBlock, RunConfig, config_digest, load_config
+from fluxmaser import CircuitParams, PhaseGrid, cli, point_record
+from fluxmaser.cli import BLAS_THREAD_ENV, _fmt, _parallel_map, main
+from fluxmaser.config import config_digest, load_config
 from fluxmaser.errors import ConfigError
 
 TINY_CONFIG = """\
@@ -124,11 +117,18 @@ def test_type_errors_rejected(tmp_path):
         "output: {digits: 0}\n",
         "output: {digits: 18}\n",
         "output: {workers: 0}\n",
+        "sweep: {k: null}\n",
+        "circuit: {n_p: null}\n",
+        "output: {digits: null}\n",
+        "sweep: {f_s_values: [[0.1]]}\n",
+        "sweep: {f_s_values: [0.1, null]}\n",
+        "maser: {cases: [[1.0, 1.4], 2.0]}\n",
     ):
         path = tmp_path / "bad.yaml"
         path.write_text(snippet)
         key = re.search(r"\{(\w+):", snippet).group(1)
-        with pytest.raises(ConfigError, match=key):
+        # the key as a word: "k" inside "block" does not count
+        with pytest.raises(ConfigError, match=rf"\b{key}\b"):
             load_config(path)
 
 
@@ -140,40 +140,22 @@ def test_integer_promoted_to_float(tmp_path):
     assert isinstance(cfg.circuit.gamma, float)
 
 
-def test_digest_tracks_content(tiny_config, tmp_path):
+def test_digest_tracks_content(tiny_config):
     base = config_digest(load_config(None))
     assert base == config_digest(load_config(None))
     assert base != config_digest(load_config(tiny_config))
-    # the worker count is execution-only: setting it in YAML leaves the digest
-    pinned = tmp_path / "pinned.yaml"
-    pinned.write_text(TINY_CONFIG + "output: {workers: 2}\n")
-    assert config_digest(load_config(pinned)) == config_digest(load_config(tiny_config))
+
+
+def test_readme_run_yaml_loads(tmp_path):
+    # the documented example names only keys the loader accepts, at their defaults
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```yaml\n(# run\.yaml\n.*?)```", readme, re.S).group(1)
+    path = tmp_path / "run.yaml"
+    path.write_text(block)
+    assert load_config(path) == load_config(None)
 
 
 # -- worker resolution ------------------------------------------------------
-
-
-def test_worker_precedence(monkeypatch):
-    cfg = RunConfig()
-    monkeypatch.setenv(WORKERS_ENV, "3")
-    assert _resolve_workers(2, cfg) == 2  # explicit flag wins
-    assert _resolve_workers(None, cfg) == 3  # then the environment
-    monkeypatch.delenv(WORKERS_ENV)
-    from dataclasses import replace
-
-    pinned = replace(cfg, output=OutputBlock(workers=5))
-    assert _resolve_workers(None, pinned) == 5  # then the config file
-    assert _resolve_workers(None, cfg) >= 1  # finally machine parallelism
-
-
-def test_bad_worker_env_rejected(monkeypatch):
-    for value in ("lots", "0", "-3"):
-        monkeypatch.setenv(WORKERS_ENV, value)
-        with pytest.raises(ConfigError):
-            _resolve_workers(None, RunConfig())
-    monkeypatch.delenv(WORKERS_ENV)
-    with pytest.raises(ConfigError):
-        _resolve_workers(-3, RunConfig())
 
 
 @pytest.mark.parametrize("preset", ["3", None], ids=["preset", "absent"])
@@ -423,11 +405,39 @@ def test_unknown_config_key_exits_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_bad_grid_flag_exits_one(tmp_path, capsys):
-    assert main(["fig2", "--grid", "81by161", "--out", str(tmp_path)]) == 1
-    assert "NPxNQ" in capsys.readouterr().err
-    assert main(["fig2", "--grid", "8x81", "--out", str(tmp_path)]) == 1
-    assert "n_p must be >= 16" in capsys.readouterr().err
+@pytest.mark.parametrize("flag", [["--grid", "41x81"], ["--seed", "1"]])
+def test_removed_flags_rejected_by_argparse(flag, tmp_path, capsys):
+    # the grid and the solver seed are set only in the config file
+    with pytest.raises(SystemExit) as exc:
+        main(["fig2", *flag, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    ("command", "snippet", "key"),
+    [
+        ("fig2", "sweep: {f_s_values: [0.1234567, 0.1234568]}", "sweep.f_s_values"),
+        ("sweep", "sweep: {f_s_values: [0.27, 0.0, 0.27]}", "sweep.f_s_values"),
+        ("fig4", "maser: {cases: [[1.0, 1.4], [1.0, 1.4]]}", "maser.cases"),
+    ],
+)
+def test_colliding_csv_names_exit_one_before_solving(
+    command, snippet, key, tmp_path, capsys, monkeypatch
+):
+    def never(*args, **kwargs):
+        raise AssertionError("a point was solved")
+
+    monkeypatch.setattr(cli, "point_record", never)
+    monkeypatch.setattr(cli, "steady_state_sqc", never)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(snippet + "\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 1
+    err = capsys.readouterr().err
+    assert key in err and "would both write" in err
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 def test_version_flag():
@@ -440,10 +450,8 @@ def test_overridden_grid_respected(tmp_path):
     out = tmp_path / "out"
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(
+        "circuit: {n_p: 41, n_q: 81}\n"
         "sweep: {f_start: 0.47, f_stop: 0.48, f_points: 2, f_s_values: [0.22], k: 4}\n"
     )
-    code = main(
-        ["fig2", "--config", str(cfg), "--grid", "41x81", "--out", str(out), "--workers", "1"]
-    )
-    assert code == 0
+    assert main(["fig2", "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 0
     assert (out / "fig2_fs_0.22.csv").exists()

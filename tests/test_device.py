@@ -48,6 +48,10 @@ def test_cavity_params_validated():
         CavityParams(area=0.0)
     with pytest.raises(ValueError):
         CavityParams(quality=-1.0)
+    for name in ("area", "height", "quality", "squid_area"):
+        for value in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=name):
+                CavityParams(**{name: value})
 
 
 def test_coupling_rate_example():
@@ -99,7 +103,9 @@ def test_device_report_renders_key_lines():
         assert fragment in text
 
 
-@pytest.mark.parametrize("name", ["gap_over_ej", "t_01", "beta_l", "n_t"])
+@pytest.mark.parametrize(
+    "name", ["gap_over_ej", "t_01", "ej_freq", "beta_l", "n_t", "interaction_phase"]
+)
 @pytest.mark.parametrize("value", [0.0, -0.1, math.inf, math.nan])
 def test_device_report_rejects_non_finite_or_nonpositive_inputs(name, value):
     with pytest.raises(ValueError, match=name):
