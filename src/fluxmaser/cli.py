@@ -297,8 +297,15 @@ def cmd_estimate_device(cfg: RunConfig, out_dir: str | None) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        """Exit 1, as any bad input does; exit code 2 means numerical failure."""
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fluxmaser",
         description="Flux-tunable circuit maser: spectra, transition tables and photon statistics.",
     )

@@ -2,7 +2,9 @@
 
 Every field has a default, so an empty (or absent) file is a valid run.
 Unknown keys anywhere are rejected outright — silent typos in sweep configs
-waste cluster hours.
+waste cluster hours.  Each number field declares its rule beside its
+default (:func:`_rule`); every block checks all of them when it is built,
+and a block's own ``__post_init__`` adds only checks that span fields.
 """
 
 from __future__ import annotations
@@ -13,10 +15,10 @@ from dataclasses import dataclass, field, fields
 
 import yaml
 
-from .circuit import CircuitParams, PhaseGrid
+from .circuit import MIN_N_P, MIN_N_Q
 from .errors import ConfigError
 from .lindblad import step_count
-from .maser import MaserConfig
+from .maser import N_MAX_CEILING, MaserConfig
 from .spectrum import MAX_K
 
 __all__ = [
@@ -32,106 +34,122 @@ __all__ = [
 ]
 
 
+def _rule(default, lo=-math.inf, hi=math.inf, *, above=False, unique=False):
+    """A field whose value, or each entry of its list, is finite and lies in
+    ``[lo, hi]`` (strictly above ``lo`` when ``above``); a list must not be
+    empty, and its entries must be distinct when ``unique``."""
+    return field(default=default, metadata={"rule": (lo, hi, above, unique)})
+
+
+class _Block:
+    """Checks every field's :func:`_rule` whenever a block is built."""
+
+    def __post_init__(self) -> None:
+        block = type(self).__name__.removesuffix("Block").lower()
+        for f in fields(self):
+            if "rule" not in f.metadata:
+                continue
+            lo, hi, above, unique = f.metadata["rule"]
+            value = getattr(self, f.name)
+            entries = value if isinstance(value, tuple) else (value,)
+            if not entries:
+                need = "not be empty"
+            elif any(isinstance(x, float) and not math.isfinite(x) for x in entries):
+                need = "be finite"
+            elif any(x <= lo if above else x < lo for x in entries):
+                need = f"be {'>' if above else '>='} {lo}"
+            elif any(x > hi for x in entries):
+                need = f"be <= {hi}"
+            elif unique and len(set(entries)) < len(entries):
+                need = "have distinct entries"
+            else:
+                continue
+            shown = list(value) if isinstance(value, tuple) else value
+            raise ConfigError(f"{block}.{f.name}: must {need}, got {shown}")
+
+
 @dataclass(frozen=True)
-class CircuitBlock:
-    gamma: float = 0.5
-    ej_over_ec: float = 100.0
-    ej_freq: float = 400.0
-    n_p: int = 81
-    n_q: int = 161
+class CircuitBlock(_Block):
+    gamma: float = _rule(0.5, 0, above=True)
+    ej_over_ec: float = _rule(100.0, 0, above=True)
+    ej_freq: float = _rule(400.0, 0, above=True)
+    n_p: int = _rule(81, MIN_N_P)
+    n_q: int = _rule(161, MIN_N_Q)
     sector: str = "even"
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.sector not in ("even", "odd"):
-            raise ValueError(f"sector must be 'even' or 'odd', got {self.sector!r}")
-        # the energy scales and the grid are checked here, before any command uses them
-        CircuitParams(gamma=self.gamma, ej_over_ec=self.ej_over_ec, ej_freq=self.ej_freq)
-        PhaseGrid(self.n_p, self.n_q)
+            raise ConfigError(f"circuit.sector: must be 'even' or 'odd', got {self.sector!r}")
 
 
 @dataclass(frozen=True)
-class SweepBlock:
-    f_start: float = 0.45
-    f_stop: float = 0.55
-    f_points: int = 101
-    f_s_values: tuple[float, ...] = (0.0, 0.22, 0.27)
-    ramp_f_s_values: tuple[float, ...] = (0.15, 0.22, 0.27)
-    k: int = 6
-    seed: int = 0
+class SweepBlock(_Block):
+    f_start: float = _rule(0.45)
+    f_stop: float = _rule(0.55)
+    f_points: int = _rule(101, 1)
+    f_s_values: tuple[float, ...] = _rule((0.0, 0.22, 0.27))
+    # fig3 writes all ramp values into one CSV, so a repeat would repeat rows
+    ramp_f_s_values: tuple[float, ...] = _rule((0.15, 0.22, 0.27), unique=True)
+    # fig2 writes levels E0..E3, and the eigensolver returns at most MAX_K
+    k: int = _rule(6, 4, MAX_K)
+    # the eigensolver's start vector comes from a 32-bit numpy seed
+    seed: int = _rule(0, 0, 2**32 - 1)
 
-    def __post_init__(self) -> None:
-        for name in ("f_start", "f_stop"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        for name in ("f_s_values", "ramp_f_s_values"):
-            if not all(math.isfinite(x) for x in getattr(self, name)):
-                raise ValueError(f"{name} entries must be finite, got {list(getattr(self, name))}")
-        if self.f_points < 1:
-            raise ValueError(f"f_points must be >= 1, got {self.f_points}")
-        # an empty list would make its commands exit 0 with no rows at all
-        for name in ("f_s_values", "ramp_f_s_values"):
-            if not getattr(self, name):
-                raise ValueError(f"{name} must not be empty")
-        # fig2 writes levels E0..E3, and the eigensolver returns at most MAX_K
-        if not 4 <= self.k <= MAX_K:
-            raise ValueError(f"k must be between 4 and {MAX_K}, got {self.k}")
+
+def _fixes_g_tau(n_t: float, tau_int_over_pi: float) -> bool:
+    """Whether ``(n_t, tau_int/pi)`` fixes a finite ``g_tau = tau_int / sqrt(n_t)``."""
+    return 0 < n_t < math.inf and 0 <= tau_int_over_pi * math.pi / math.sqrt(n_t) < math.inf
 
 
 def _maser_config(n_t: float, tau_int_over_pi: float, n_th: float, n_max: int) -> MaserConfig:
-    if not 0 <= tau_int_over_pi < math.inf:
-        raise ValueError(f"tau_int_over_pi must be finite and >= 0, got {tau_int_over_pi}")
-    if n_t <= 0:
-        raise ValueError(
-            f"n_t must be > 0, got {n_t}: tau_int_over_pi fixes g_tau = tau_int/sqrt(n_t)"
-        )
     return MaserConfig.from_interaction_time(n_t, tau_int_over_pi * math.pi, n_th=n_th, n_max=n_max)
 
 
 @dataclass(frozen=True)
-class MaserBlock:
-    n_th: float = 0.1
-    n_max: int = 256
+class MaserBlock(_Block):
+    n_th: float = _rule(0.1, 0)
+    # the steady-state solvers extend the cutoff up to N_MAX_CEILING, no further
+    n_max: int = _rule(256, 4, N_MAX_CEILING)
     # (n_t, tau_int/pi) operating points for the distribution tables
     cases: tuple[tuple[float, float], ...] = ((1.0, 1.4), (100.0, 10.0))
 
     def __post_init__(self) -> None:
-        if not self.cases:
-            raise ValueError("cases must not be empty")
-        if not all(isinstance(case, tuple) and len(case) == 2 for case in self.cases):
-            raise ValueError(f"cases entries must be [n_t, tau_int_over_pi] pairs: {self.cases}")
-        self.maser_configs()  # checked here, before any command uses them
+        super().__post_init__()
+        pairs = all(isinstance(c, tuple) and len(c) == 2 and _fixes_g_tau(*c) for c in self.cases)
+        if not (self.cases and pairs):
+            raise ConfigError(
+                "maser.cases: must be a non-empty list of [n_t > 0, tau_int_over_pi >= 0] "
+                f"pairs with a finite tau_int/sqrt(n_t), got {self.cases}"
+            )
 
     def maser_configs(self) -> list[MaserConfig]:
         """One :class:`MaserConfig` per ``(n_t, tau_int/pi)`` entry of ``cases``."""
-        try:
-            return [_maser_config(n_t, tau, self.n_th, self.n_max) for n_t, tau in self.cases]
-        except ValueError as exc:
-            raise ValueError(f"cases: {exc}") from exc
+        return [_maser_config(n_t, tau, self.n_th, self.n_max) for n_t, tau in self.cases]
 
 
 @dataclass(frozen=True)
-class EvolveBlock:
-    n_t: float = 1.0
-    tau_int_over_pi: float = 1.4
-    n_th: float = 0.1
-    n_max: int = 32
-    dt: float = 2e-3
-    t_final: float = 20.0
-    record_every: int = 50
-    trajectory_levels: int = 8
+class EvolveBlock(_Block):
+    n_t: float = _rule(1.0, 0, above=True)
+    tau_int_over_pi: float = _rule(1.4, 0)
+    n_th: float = _rule(0.1, 0)
+    n_max: int = _rule(32, 4, N_MAX_CEILING)
+    dt: float = _rule(2e-3, 0, above=True)
+    t_final: float = _rule(20.0, 0, above=True)
+    record_every: int = _rule(50, 1)
+    trajectory_levels: int = _rule(8, 1)
 
     def __post_init__(self) -> None:
-        for name in ("dt", "t_final"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
-        if self.record_every < 1 or self.trajectory_levels < 1:
-            raise ValueError(
-                f"record_every and trajectory_levels must be >= 1, "
-                f"got {self.record_every}, {self.trajectory_levels}"
+        super().__post_init__()
+        if not _fixes_g_tau(self.n_t, self.tau_int_over_pi):
+            raise ConfigError(
+                "evolve.tau_int_over_pi, evolve.n_t: tau_int/sqrt(n_t) overflows, "
+                f"got {self.tau_int_over_pi}, {self.n_t}"
             )
-        step_count(self.t_final, self.dt, self.record_every)  # checked before any command runs
-        self.maser_config()
+        try:
+            step_count(self.t_final, self.dt, self.record_every)
+        except ValueError as exc:
+            raise ConfigError(f"evolve.t_final, evolve.dt, evolve.record_every: {exc}") from exc
 
     def maser_config(self) -> MaserConfig:
         """The operating point the trajectory is integrated at."""
@@ -139,32 +157,22 @@ class EvolveBlock:
 
 
 @dataclass(frozen=True)
-class CavityBlock:
-    area: float = 2.25e-4
-    height: float = 1e-6
-    quality: float = 1e6
-    squid_area: float = math.pi * (16e-6) ** 2
-    beta_l: float = 0.1
-    gap_over_ej: float = 0.05
-    t_01: float = 0.13
-    n_t: float = 1.0
-    interaction_phase_over_pi: float = 1.4
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{f.name} must be finite and positive, got {value}")
+class CavityBlock(_Block):
+    area: float = _rule(2.25e-4, 0, above=True)
+    height: float = _rule(1e-6, 0, above=True)
+    quality: float = _rule(1e6, 0, above=True)
+    squid_area: float = _rule(math.pi * (16e-6) ** 2, 0, above=True)
+    beta_l: float = _rule(0.1, 0, above=True)
+    gap_over_ej: float = _rule(0.05, 0, above=True)
+    t_01: float = _rule(0.13, 0, above=True)
+    n_t: float = _rule(1.0, 0, above=True)
+    interaction_phase_over_pi: float = _rule(1.4, 0, above=True)
 
 
 @dataclass(frozen=True)
-class OutputBlock:
-    digits: int = 12
-
-    def __post_init__(self) -> None:
-        # 17 significant digits round-trip any double; fewer than 1 is no number
-        if not 1 <= self.digits <= 17:
-            raise ValueError(f"digits must be between 1 and 17, got {self.digits}")
+class OutputBlock(_Block):
+    # 17 significant digits round-trip any double; fewer than 1 is no number
+    digits: int = _rule(12, 1, 17)
 
 
 @dataclass(frozen=True)
@@ -177,14 +185,7 @@ class RunConfig:
     output: OutputBlock = field(default_factory=OutputBlock)
 
 
-_BLOCKS = {
-    "circuit": CircuitBlock,
-    "sweep": SweepBlock,
-    "maser": MaserBlock,
-    "evolve": EvolveBlock,
-    "cavity": CavityBlock,
-    "output": OutputBlock,
-}
+_BLOCKS = {f.name: f.default_factory for f in fields(RunConfig)}
 
 
 def _number(value, key: str) -> float:
@@ -197,13 +198,9 @@ def _coerce(value, annotation: str, key: str):
     """``value`` checked against its field's annotation; every message names ``key``."""
     if annotation == "float":
         return _number(value, key)
-    if annotation == "int":
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{key}: expected integer, got {value!r}")
-        return value
-    if annotation == "str":
-        if not isinstance(value, str):
-            raise ConfigError(f"{key}: expected a string, got {value!r}")
+    if annotation in ("int", "str"):
+        if isinstance(value, bool) or not isinstance(value, int if annotation == "int" else str):
+            raise ConfigError(f"{key}: expected {annotation}, got {value!r}")
         return value
     # tuple[float, ...], or a tuple of such tuples (maser.cases) for a nested annotation
     nested = annotation.startswith("tuple[tuple")
@@ -217,17 +214,13 @@ def _coerce(value, annotation: str, key: str):
 
 def _build_block(cls, data: dict, path: str):
     known = {f.name: f for f in fields(cls)}
-    unknown = set(data) - set(known)
+    unknown = sorted(f"{path}.{key}" for key in set(data) - set(known))
     if unknown:
-        raise ConfigError(f"unknown key(s) in {path}: {sorted(unknown)}")
+        raise ConfigError(f"{', '.join(unknown)}: unknown key(s)")
     # annotations are strings (postponed evaluation), e.g. "int" or "tuple[float, ...]"
-    kwargs = {
+    return cls(**{
         name: _coerce(value, known[name].type, f"{path}.{name}") for name, value in data.items()
-    }
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid {path} block: {exc}") from exc
+    })
 
 
 def load_config(path: str | None = None) -> RunConfig:
@@ -245,12 +238,10 @@ def load_config(path: str | None = None) -> RunConfig:
         raise ConfigError(f"top level of {path} must be a mapping")
     unknown = set(raw) - set(_BLOCKS)
     if unknown:
-        raise ConfigError(f"unknown top-level key(s): {sorted(unknown)}")
+        raise ConfigError(f"unknown top-level key(s): {sorted(map(str, unknown))}")
     blocks = {}
     for name, cls in _BLOCKS.items():
-        section = raw.get(name, {})
-        if section is None:
-            section = {}
+        section = {} if raw.get(name) is None else raw[name]
         if not isinstance(section, dict):
             raise ConfigError(f"section {name!r} must be a mapping")
         blocks[name] = _build_block(cls, section, name)

@@ -93,8 +93,13 @@ def test_unknown_keys_rejected(tmp_path):
         load_config(bad_top)
     bad_nested = tmp_path / "b.yaml"
     bad_nested.write_text("circuit: {n_pp: 81}\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^circuit\.n_pp: unknown"):
         load_config(bad_nested)
+    # keys of mixed types cannot be sorted as they are
+    mixed = tmp_path / "c.yaml"
+    mixed.write_text("1: 2\nfoo: 3\n")
+    with pytest.raises(ConfigError, match="foo"):
+        load_config(mixed)
 
 
 def test_type_errors_rejected(tmp_path):
@@ -123,12 +128,19 @@ def test_type_errors_rejected(tmp_path):
         "sweep: {f_s_values: [[0.1]]}\n",
         "sweep: {f_s_values: [0.1, null]}\n",
         "maser: {cases: [[1.0, 1.4], 2.0]}\n",
+        "sweep: {seed: -1}\n",
+        "sweep: {seed: 4294967296}\n",
+        "maser: {n_max: 3}\n",
+        "maser: {n_max: 4097}\n",
+        "maser: {n_th: -1.0}\n",
+        "evolve: {n_max: 4097}\n",
+        "sweep: {ramp_f_s_values: [0.27, 0.27]}\n",
     ):
         path = tmp_path / "bad.yaml"
         path.write_text(snippet)
-        key = re.search(r"\{(\w+):", snippet).group(1)
-        # the key as a word: "k" inside "block" does not count
-        with pytest.raises(ConfigError, match=rf"\b{key}\b"):
+        block, key = re.match(r"(\w+): \{(\w+):", snippet).groups()
+        # the message starts with the offending key, named with its block
+        with pytest.raises(ConfigError, match=rf"^{block}\.{key}\b"):
             load_config(path)
 
 
@@ -275,7 +287,8 @@ def test_evolve_rejects_bad_inputs_up_front(block, tmp_path, capsys):
     cfg.write_text(f"evolve: {block}\n")
     out = tmp_path / "out"
     assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 1
-    assert "invalid evolve block" in capsys.readouterr().err
+    key = re.match(r"\{(\w+):", block).group(1)
+    assert capsys.readouterr().err.startswith(f"error: evolve.{key}: ")
     assert not (out / "evolve.csv").exists()
 
 
@@ -333,7 +346,7 @@ def test_evolve_unbounded_step_count_exits_one_without_traceback(snippet, tmp_pa
         ("evolve", "evolve: {tau_int_over_pi: .inf}", "tau_int_over_pi"),
         ("evolve", "evolve: {n_th: .nan}", "n_th"),
         ("evolve", "evolve: {n_t: 0.0}", "n_t"),
-        ("fig4", "maser: {cases: [[0.0, 1.4]]}", "n_t"),
+        ("fig4", "maser: {cases: [[0.0, 1.4]]}", "cases"),
         ("fig2", "circuit: {n_p: 8}", "n_p"),
         ("fig4", "circuit: {n_p: 8}", "n_p"),
         ("fig2", "circuit: {n_q: 16}", "n_q"),
@@ -347,7 +360,7 @@ def test_non_finite_or_nonpositive_inputs_exit_one(command, snippet, key, tmp_pa
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     # the message names the config block and key, not the library call behind them
-    assert key in err and snippet.split(":")[0] in err
+    assert f"{snippet.split(':')[0]}.{key}" in err
     assert "from_interaction_time" not in err
     assert not out.exists() or not os.listdir(out)
 
@@ -410,9 +423,40 @@ def test_removed_flags_rejected_by_argparse(flag, tmp_path, capsys):
     # the grid and the solver seed are set only in the config file
     with pytest.raises(SystemExit) as exc:
         main(["fig2", *flag, "--out", str(tmp_path / "out")])
-    assert exc.value.code == 2
+    # a usage error is bad input, exit 1; 2 is kept for numerical failure
+    assert exc.value.code == 1
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_missing_subcommand_exits_one(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([])
+    assert exc.value.code == 1
+    assert "required: command" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("command", "snippet", "key"),
+    [
+        ("fig2", "sweep: {seed: -1}", "sweep.seed"),
+        ("fig3", "sweep: {ramp_f_s_values: [0.27, 0.27]}", "sweep.ramp_f_s_values"),
+        ("fig4", "maser: {n_max: 3}", "maser.n_max"),
+        ("fig4", "maser: {n_th: -1.0}", "maser.n_th"),
+    ],
+)
+def test_rule_breaks_exit_one_before_solving(command, snippet, key, tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a point was solved")
+
+    monkeypatch.setattr(cli, "point_record", never)
+    monkeypatch.setattr(cli, "steady_state_sqc", never)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("circuit: {n_p: 41, n_q: 81}\n" + snippet + "\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key}: ")
+    assert not out.exists() or not os.listdir(out)  # no CSV, no failures log
 
 
 @pytest.mark.parametrize(
