@@ -12,66 +12,53 @@ Layers, bottom to top:
 - :mod:`fluxmaser.config` / :mod:`fluxmaser.cli` — reproducible batch runs.
 """
 
+import importlib
+
 __version__ = "0.1.0"
 
-from .circuit import (
-    CircuitParams,
-    HamiltonianOperator,
-    PhaseGrid,
-    assemble_hamiltonian,
-    circulating_current,
-    effective_alpha,
-    potential,
-)
-from .device import CavityParams, DeviceReport, device_report
-from .lindblad import evolve, gain_map, steady_state_nullspace
-from .maser import (
-    MaserConfig,
-    PhotonDistribution,
-    distribution_moments,
-    rabi_s,
-    steady_state_atomic,
-    steady_state_sqc,
-)
-from .spectrum import EigenSpectrum, lowest_eigenpairs
-from .transitions import (
-    PointRecord,
-    adiabatic_k,
-    adiabatic_rate_check,
-    point_record,
-    pumping_feasibility,
-    relative_relaxation,
-    transition_element,
+# public name -> the submodule that defines it; both resolve on first access
+# (PEP 562), so ``import fluxmaser`` loads no numpy and a process can fix its
+# BLAS thread count before numpy loads (see :mod:`fluxmaser.cli`)
+_EXPORTS = {
+    "CircuitParams": "circuit",
+    "PhaseGrid": "circuit",
+    "HamiltonianOperator": "circuit",
+    "assemble_hamiltonian": "circuit",
+    "potential": "circuit",
+    "circulating_current": "circuit",
+    "effective_alpha": "circuit",
+    "EigenSpectrum": "spectrum",
+    "lowest_eigenpairs": "spectrum",
+    "PointRecord": "transitions",
+    "point_record": "transitions",
+    "transition_element": "transitions",
+    "adiabatic_k": "transitions",
+    "adiabatic_rate_check": "transitions",
+    "pumping_feasibility": "transitions",
+    "relative_relaxation": "transitions",
+    "MaserConfig": "maser",
+    "PhotonDistribution": "maser",
+    "rabi_s": "maser",
+    "steady_state_sqc": "maser",
+    "steady_state_atomic": "maser",
+    "distribution_moments": "maser",
+    "gain_map": "lindblad",
+    "evolve": "lindblad",
+    "steady_state_nullspace": "lindblad",
+    "CavityParams": "device",
+    "DeviceReport": "device",
+    "device_report": "device",
+}
+_SUBMODULES = (
+    "circuit", "spectrum", "transitions", "maser", "lindblad", "device", "config", "cli", "errors",
 )
 
-__all__ = [
-    "__version__",
-    "CircuitParams",
-    "PhaseGrid",
-    "HamiltonianOperator",
-    "assemble_hamiltonian",
-    "potential",
-    "circulating_current",
-    "effective_alpha",
-    "EigenSpectrum",
-    "lowest_eigenpairs",
-    "PointRecord",
-    "point_record",
-    "transition_element",
-    "adiabatic_k",
-    "adiabatic_rate_check",
-    "pumping_feasibility",
-    "relative_relaxation",
-    "MaserConfig",
-    "PhotonDistribution",
-    "rabi_s",
-    "steady_state_sqc",
-    "steady_state_atomic",
-    "distribution_moments",
-    "gain_map",
-    "evolve",
-    "steady_state_nullspace",
-    "CavityParams",
-    "DeviceReport",
-    "device_report",
-]
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _EXPORTS:
+        return getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -21,24 +21,33 @@ import argparse
 import math
 import os
 import sys
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from contextlib import contextmanager
 from functools import partial
 from itertools import islice
 from multiprocessing import get_context
 
-import numpy as np
+BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-from . import __version__
-from .circuit import CircuitParams, PhaseGrid
-from .config import RunConfig, config_digest, load_config
-from .device import CavityParams, device_report, format_device_report
-from .errors import ConfigError
-from .lindblad import evolve as lindblad_evolve
-from .lindblad import fock_state
-from .maser import steady_state_atomic, steady_state_sqc
-from .transitions import PointRecord, point_record
+# BLAS fixes its thread count when numpy loads it.  The only threaded BLAS
+# calls here are ARPACK's, whose wall time a second thread does not shorten
+# while it doubles their CPU time, so a process not told otherwise runs one.
+if not any(name in os.environ for name in BLAS_THREAD_ENV):
+    os.environ.update(dict.fromkeys(BLAS_THREAD_ENV, "1"))
+
+import numpy as np  # noqa: E402
+
+from . import __version__  # noqa: E402
+from .circuit import CircuitParams, PhaseGrid  # noqa: E402
+from .config import RunConfig, config_digest, load_config  # noqa: E402
+from .device import CavityParams, device_report, format_device_report  # noqa: E402
+from .errors import ConfigError  # noqa: E402
+from .lindblad import evolve as lindblad_evolve  # noqa: E402
+from .lindblad import fock_state  # noqa: E402
+from .maser import steady_state_atomic, steady_state_sqc  # noqa: E402
+from .transitions import PointRecord, point_record  # noqa: E402
 
 MAX_FAILURE_FRACTION = 0.01
-BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _fmt(value: float, digits: int) -> str:
@@ -73,26 +82,59 @@ def _check_stems(stems: list[str], entries: list, key: str) -> None:
         seen[stem] = entry
 
 
-def _parallel_map(func, tasks, workers: int):
-    """``map`` over a pool of spawned workers, each with one BLAS thread.
+def _outcome(call):
+    """``call()``, or the numerical failure (the ``RuntimeError`` family) it raised.
 
-    BLAS reads its thread count when it loads, so the variables are set in
-    this process while the pool spawns (the workers inherit them) and then
-    put back exactly as they were.
+    Any other exception, and a broken pool, propagate.
     """
-    if workers <= 1 or len(tasks) <= 1:
-        return [func(task) for task in tasks]
+    try:
+        return call()
+    except BrokenExecutor:
+        raise
+    except RuntimeError as exc:
+        return exc
+
+
+@contextmanager
+def _one_blas_thread():
+    """Set the BLAS thread variables to one thread, then put them back exactly."""
     saved = {name: os.environ.get(name) for name in BLAS_THREAD_ENV}
     os.environ.update(dict.fromkeys(BLAS_THREAD_ENV, "1"))
     try:
-        with get_context("spawn").Pool(processes=min(workers, len(tasks))) as pool:
-            return pool.map(func, tasks, chunksize=1)
+        yield
     finally:
         for name, value in saved.items():
             if value is None:
                 os.environ.pop(name, None)
             else:
                 os.environ[name] = value
+
+
+def _parallel_map(func, tasks, workers: int) -> list:
+    """The :func:`_outcome` of ``func`` on each task, in task order.
+
+    ``workers - 1`` spawned processes take tasks from the front while this
+    process solves, from the back, every task no worker has started.  BLAS
+    reads its thread count when it loads, so the workers are spawned with
+    one BLAS thread each.  If an exception propagates, no pending task is
+    started.
+    """
+    if workers <= 1 or len(tasks) <= 1:
+        return [_outcome(partial(func, task)) for task in tasks]
+    pool = ProcessPoolExecutor(min(workers, len(tasks)) - 1, mp_context=get_context("spawn"))
+    try:
+        with _one_blas_thread():  # the pool spawns its workers as tasks are submitted
+            futures = [pool.submit(func, task) for task in tasks]
+        results = [None] * len(tasks)
+        for i in reversed(range(len(tasks))):
+            if futures[i].cancel():
+                results[i] = _outcome(partial(func, tasks[i]))
+        for i, future in enumerate(futures):
+            if not future.cancelled():
+                results[i] = _outcome(future.result)
+        return results
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # spectral command -> (SweepBlock field listing its f_s values, one CSV per
@@ -137,13 +179,6 @@ def _columns(f: float, f_s: float, rec: PointRecord) -> dict[str, float]:
     }
 
 
-def _solve_point(params: CircuitParams, **solver):
-    try:
-        return point_record(params, **solver), None
-    except Exception as exc:  # worker boundary: report, do not kill the sweep
-        return None, f"f={params.f:.6g} f_s={params.f_s:.6g}: {type(exc).__name__}: {exc}"
-
-
 def _base_comments(cfg: RunConfig, units: str) -> list[str]:
     return [
         f"tool_version: {__version__}",
@@ -171,16 +206,18 @@ def cmd_spectral(command: str, cfg: RunConfig, out_dir: str, workers: int) -> in
         for f in f_axis
     ]
     solve = partial(
-        _solve_point, grid=PhaseGrid(c.n_p, c.n_q), k=s.k, sector=c.sector, seed=s.seed
+        point_record, grid=PhaseGrid(c.n_p, c.n_q), k=s.k, sector=c.sector, seed=s.seed
     )
     results = iter(zip(tasks, _parallel_map(solve, tasks, workers)))
 
     failed = 0
     for stem, extra_comments, group in files:
         rows, failures = [], []
-        for params, (rec, error) in islice(results, len(group) * len(f_axis)):
-            if rec is None:
-                failures.append(error)
+        for params, rec in islice(results, len(group) * len(f_axis)):
+            if isinstance(rec, RuntimeError):
+                failures.append(
+                    f"f={params.f:.6g} f_s={params.f_s:.6g}: {type(rec).__name__}: {rec}"
+                )
                 continue
             values = _columns(params.f, params.f_s, rec)
             rows.append([
@@ -347,6 +384,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenExecutor:
+        raise
     except RuntimeError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

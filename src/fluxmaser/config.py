@@ -96,6 +96,15 @@ class SweepBlock(_Block):
     # the eigensolver's start vector comes from a 32-bit numpy seed
     seed: int = _rule(0, 0, 2**32 - 1)
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        # the flux axis is a linspace, which steps by the span
+        if not math.isfinite(self.f_stop - self.f_start):
+            raise ConfigError(
+                "sweep.f_start, sweep.f_stop: f_stop - f_start overflows, "
+                f"got {self.f_start}, {self.f_stop}"
+            )
+
 
 def _fixes_g_tau(n_t: float, tau_int_over_pi: float) -> bool:
     """Whether ``(n_t, tau_int/pi)`` fixes a finite ``g_tau = tau_int / sqrt(n_t)``."""

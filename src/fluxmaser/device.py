@@ -12,9 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.constants import c as SPEED_OF_LIGHT
-from scipy.constants import epsilon_0, h, physical_constants
-
 __all__ = [
     "CavityParams",
     "DeviceReport",
@@ -30,7 +27,12 @@ __all__ = [
     "format_device_report",
 ]
 
-FLUX_QUANTUM = physical_constants["mag. flux quantum"][0]
+# CODATA 2022 values as scipy.constants gives them, written out so that a
+# CLI process need not import scipy.constants; a test pins them to scipy's
+SPEED_OF_LIGHT = 299792458.0  # m/s
+epsilon_0 = 8.8541878188e-12  # F/m
+h = 6.62607015e-34  # J s
+FLUX_QUANTUM = 2.0678338484619295e-15  # Wb
 
 
 @dataclass(frozen=True)

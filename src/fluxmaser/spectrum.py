@@ -139,7 +139,12 @@ def _solve_block(
 
     opinv = spla.LinearOperator((n, n), matvec=solve, dtype=np.float64)
     v0 = _seeded_start(n, seed)
-    vals, vecs = spla.eigsh(matrix, k=k, sigma=shift, which="LM", v0=v0, tol=0, OPinv=opinv)
+    try:
+        vals, vecs = spla.eigsh(matrix, k=k, sigma=shift, which="LM", v0=v0, tol=0, OPinv=opinv)
+    except spla.ArpackNoConvergence as exc:
+        # ARPACK's exception cannot be unpickled, so a sweep worker could
+        # not hand it back as a failed point
+        raise ConvergenceError(str(exc)) from exc
     order = np.argsort(vals)
     vecs = vecs[:, order]
     if n < op.dimension:

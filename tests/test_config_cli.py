@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import fluxmaser
 from fluxmaser import CircuitParams, PhaseGrid, cli, point_record
 from fluxmaser.cli import BLAS_THREAD_ENV, _fmt, _parallel_map, main
 from fluxmaser.config import config_digest, load_config
-from fluxmaser.errors import ConfigError
+from fluxmaser.errors import ConfigError, ConvergenceError
 
 TINY_CONFIG = """\
 circuit:
@@ -170,14 +171,26 @@ def test_readme_run_yaml_loads(tmp_path):
 # -- worker resolution ------------------------------------------------------
 
 
+def _thread_env(index):
+    time.sleep(0.05)  # long enough for the pool to hand some tasks to its worker
+    return index, os.getpid(), [os.environ.get(name) for name in BLAS_THREAD_ENV]
+
+
 @pytest.mark.parametrize("preset", ["3", None], ids=["preset", "absent"])
 def test_pool_workers_see_one_blas_thread(monkeypatch, preset):
-    if preset is None:
-        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    else:
+    for name in BLAS_THREAD_ENV:
+        monkeypatch.delenv(name, raising=False)
+    if preset is not None:
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
     before = dict(os.environ)
-    assert _parallel_map(os.getenv, list(BLAS_THREAD_ENV), workers=2) == ["1"] * 3
+    tasks = list(range(8))
+    results = _parallel_map(_thread_env, tasks, workers=2)
+    # results come back in task order, whichever process solved each task
+    assert [index for index, _, _ in results] == tasks
+    # the parent solves tasks too; every task a spawned worker solved saw one thread
+    spawned = [env for _, pid, env in results if pid != os.getpid()]
+    assert spawned
+    assert all(env == ["1"] * 3 for env in spawned)
     # the parent's environment comes back exactly, absent variables included
     assert dict(os.environ) == before
     assert os.environ.get("OPENBLAS_NUM_THREADS") == preset
@@ -443,6 +456,7 @@ def test_missing_subcommand_exits_one(capsys):
         ("fig3", "sweep: {ramp_f_s_values: [0.27, 0.27]}", "sweep.ramp_f_s_values"),
         ("fig4", "maser: {n_max: 3}", "maser.n_max"),
         ("fig4", "maser: {n_th: -1.0}", "maser.n_th"),
+        ("sweep", "sweep: {f_start: -1.0e+308, f_stop: 1.0e+308}", "sweep.f_start, sweep.f_stop"),
     ],
 )
 def test_rule_breaks_exit_one_before_solving(command, snippet, key, tmp_path, capsys, monkeypatch):
@@ -455,8 +469,38 @@ def test_rule_breaks_exit_one_before_solving(command, snippet, key, tmp_path, ca
     cfg.write_text("circuit: {n_p: 41, n_q: 81}\n" + snippet + "\n")
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {key}: ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: ")
+    assert err.count("\n") == 1  # the one error line, no warning
     assert not out.exists() or not os.listdir(out)  # no CSV, no failures log
+
+
+def test_numerical_point_failures_are_logged_and_exit_two(
+    tiny_config, tmp_path, capsys, monkeypatch
+):
+    def fails(params, **solver):
+        raise ConvergenceError("residual too large")
+
+    monkeypatch.setattr(cli, "point_record", fails)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(tiny_config), "--out", str(out), "--workers", "1"]) == 2
+    assert "3/3 sweep points failed" in capsys.readouterr().err
+    log = (out / "sweep_fs_0.27_failures.log").read_text().splitlines()
+    assert log == [
+        f"f={f:.6g} f_s=0.27: ConvergenceError: residual too large" for f in (0.48, 0.49, 0.5)
+    ]
+
+
+def test_other_point_errors_propagate_without_csv(tiny_config, tmp_path, monkeypatch):
+    def broken(params, **solver):
+        raise TypeError("not a numerical failure")
+
+    monkeypatch.setattr(cli, "point_record", broken)
+    out = tmp_path / "out"
+    with pytest.raises(TypeError, match="not a numerical failure"):
+        main(["sweep", "--config", str(tiny_config), "--out", str(out), "--workers", "1"])
+    assert not list(tmp_path.rglob("*.csv"))
+    assert not list(tmp_path.rglob("*.log"))
 
 
 @pytest.mark.parametrize(

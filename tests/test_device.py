@@ -3,8 +3,10 @@
 import math
 
 import pytest
+import scipy.constants
 from scipy.constants import c as c_light
 
+from fluxmaser import device
 from fluxmaser.device import (
     CavityParams,
     cavity_frequency,
@@ -18,6 +20,14 @@ from fluxmaser.device import (
     vacuum_flux_ratio,
     wavelength,
 )
+
+
+def test_codata_literals_match_scipy():
+    # written out so that no CLI process imports scipy.constants
+    assert device.SPEED_OF_LIGHT == scipy.constants.c
+    assert device.epsilon_0 == scipy.constants.epsilon_0
+    assert device.h == scipy.constants.h
+    assert device.FLUX_QUANTUM == scipy.constants.physical_constants["mag. flux quantum"][0]
 
 
 def test_cavity_frequency_example():

@@ -1,11 +1,17 @@
-"""The exported surface: every name in an ``__all__`` resolves."""
+"""The exported surface: every name in an ``__all__`` resolves, and importing
+the package or its CLI sets up BLAS as documented."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import fluxmaser
+from fluxmaser.cli import BLAS_THREAD_ENV
 
 MODULES = [fluxmaser] + [
     importlib.import_module(f"fluxmaser.{info.name}")
@@ -19,3 +25,40 @@ def test_exported_names_resolve(module):
     # and the documented surface without failing any other test
     stale = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert not stale, f"{module.__name__}.__all__ lists missing names {stale}"
+
+
+def _fresh_python(code, **env):
+    """Stdout of ``code`` in a fresh interpreter; no BLAS thread variable is set but ``env``."""
+    src = str(Path(fluxmaser.__file__).resolve().parents[1])
+    clean = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_ENV}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**clean, **env, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_package_import_loads_no_numpy():
+    # ``fluxmaser.cli`` can only choose the BLAS thread count before numpy loads
+    _fresh_python("import sys, fluxmaser; assert 'numpy' not in sys.modules")
+
+
+@pytest.mark.parametrize("name", [info.name for info in pkgutil.iter_modules(fluxmaser.__path__)])
+def test_submodule_resolves_as_attribute(name):
+    # the first access in a fresh interpreter, before any import could set it
+    module = f"fluxmaser.{name}"
+    _fresh_python(f"import sys, fluxmaser\nassert {module} is sys.modules[{module!r}]")
+
+
+READ_THREAD_ENV = (
+    "import os, fluxmaser.cli as cli; print([os.environ.get(n) for n in cli.BLAS_THREAD_ENV])"
+)
+
+
+def test_cli_import_sets_one_blas_thread():
+    assert _fresh_python(READ_THREAD_ENV) == "['1', '1', '1']\n"
+
+
+def test_cli_import_keeps_a_callers_thread_setting():
+    assert _fresh_python(READ_THREAD_ENV, OMP_NUM_THREADS="2") == "[None, '2', None]\n"
