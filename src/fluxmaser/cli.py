@@ -29,10 +29,51 @@ from multiprocessing import get_context
 
 BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-# BLAS fixes its thread count when numpy loads it.  The only threaded BLAS
-# calls here are ARPACK's, whose wall time a second thread does not shorten
-# while it doubles their CPU time, so a process not told otherwise runs one.
-if not any(name in os.environ for name in BLAS_THREAD_ENV):
+COMMANDS = {
+    "fig2": "levels and transition amplitudes vs f, one CSV per f_s",
+    "fig3": "adiabaticity coefficients K vs f for the ramp f_s values",
+    "fig4": "steady-state photon distributions for the configured operating points",
+    "evolve": "direct master-equation time integration",
+    "estimate-device": "physical device estimates from circuit outputs",
+    "sweep": "combined gaps/amplitudes/K sweep, one CSV per f_s",
+}
+
+# spectral command -> (SweepBlock field listing its f_s values, one CSV per
+# f_s value?, CSV header, units comment); every column is a projection of the
+# point_record at (f, f_s)
+SPECTRAL = {
+    "fig2": (
+        "f_s_values",
+        True,
+        ["f", "E0", "E1", "E2", "E3", "t_01", "t_02", "t_12"],
+        "levels in E_J; amplitudes in I_c*Phi_w0",
+    ),
+    "fig3": (
+        "ramp_f_s_values",
+        False,
+        ["f", "f_s", "K_01", "K_12"],
+        "K in ns; 'crossing' marks gaps below the degeneracy floor",
+    ),
+    "sweep": (
+        "f_s_values",
+        True,
+        ["f", "f_s", "gap_01", "gap_02", "gap_12", "t_01", "t_02", "t_12", "K_01", "K_12"],
+        "gaps in E_J; amplitudes in I_c*Phi_w0; K in ns",
+    ),
+}
+
+# BLAS fixes its thread count when numpy loads it, before main() parses the
+# command, so the command is read here from the process's own command line.
+# A spectral command solves many small eigenproblems, where a second BLAS
+# thread doubled the CPU time without shortening the wall time (2 CPUs), so
+# such a process runs one thread unless the caller set a count.  Every other
+# command keeps the library's default: evolve's dense expm at a large n_max
+# does run faster on more threads.
+if (
+    next((word for word in sys.argv[1:] if word in COMMANDS), None) in SPECTRAL
+    and "numpy" not in sys.modules
+    and not any(name in os.environ for name in BLAS_THREAD_ENV)
+):
     os.environ.update(dict.fromkeys(BLAS_THREAD_ENV, "1"))
 
 import numpy as np  # noqa: E402
@@ -135,31 +176,6 @@ def _parallel_map(func, tasks, workers: int) -> list:
         return results
     finally:
         pool.shutdown(cancel_futures=True)
-
-
-# spectral command -> (SweepBlock field listing its f_s values, one CSV per
-# f_s value?, CSV header, units comment); every column is a projection of the
-# point_record at (f, f_s)
-SPECTRAL = {
-    "fig2": (
-        "f_s_values",
-        True,
-        ["f", "E0", "E1", "E2", "E3", "t_01", "t_02", "t_12"],
-        "levels in E_J; amplitudes in I_c*Phi_w0",
-    ),
-    "fig3": (
-        "ramp_f_s_values",
-        False,
-        ["f", "f_s", "K_01", "K_12"],
-        "K in ns; 'crossing' marks gaps below the degeneracy floor",
-    ),
-    "sweep": (
-        "f_s_values",
-        True,
-        ["f", "f_s", "gap_01", "gap_02", "gap_12", "t_01", "t_02", "t_12", "K_01", "K_12"],
-        "gaps in E_J; amplitudes in I_c*Phi_w0; K in ns",
-    ),
-}
 
 
 def _columns(f: float, f_s: float, rec: PointRecord) -> dict[str, float]:
@@ -352,14 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="DIR", default=".", help="output directory")
     common.add_argument("--workers", type=int, metavar="N", help="worker processes for sweeps")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("fig2", "levels and transition amplitudes vs f, one CSV per f_s"),
-        ("fig3", "adiabaticity coefficients K vs f for the ramp f_s values"),
-        ("fig4", "steady-state photon distributions for the configured operating points"),
-        ("evolve", "direct master-equation time integration"),
-        ("estimate-device", "physical device estimates from circuit outputs"),
-        ("sweep", "combined gaps/amplitudes/K sweep, one CSV per f_s"),
-    ):
+    for name, help_text in COMMANDS.items():
         sub.add_parser(name, parents=[common], help=help_text)
     return parser
 

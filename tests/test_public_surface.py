@@ -27,12 +27,13 @@ def test_exported_names_resolve(module):
     assert not stale, f"{module.__name__}.__all__ lists missing names {stale}"
 
 
-def _fresh_python(code, **env):
-    """Stdout of ``code`` in a fresh interpreter; no BLAS thread variable is set but ``env``."""
+def _fresh_python(code, *args, **env):
+    """Stdout of ``code`` run with command-line ``args`` in a fresh interpreter;
+    no BLAS thread variable is set but ``env``."""
     src = str(Path(fluxmaser.__file__).resolve().parents[1])
     clean = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_ENV}
     proc = subprocess.run(
-        [sys.executable, "-c", code], env={**clean, **env, "PYTHONPATH": src},
+        [sys.executable, "-c", code, *args], env={**clean, **env, "PYTHONPATH": src},
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -56,9 +57,28 @@ READ_THREAD_ENV = (
 )
 
 
-def test_cli_import_sets_one_blas_thread():
-    assert _fresh_python(READ_THREAD_ENV) == "['1', '1', '1']\n"
+@pytest.mark.parametrize("command", ["fig2", "fig3", "sweep"])
+def test_cli_import_sets_one_blas_thread(command):
+    args = (command, "--out", "evolve", "--workers", "2")
+    assert _fresh_python(READ_THREAD_ENV, *args) == "['1', '1', '1']\n"
 
 
 def test_cli_import_keeps_a_callers_thread_setting():
-    assert _fresh_python(READ_THREAD_ENV, OMP_NUM_THREADS="2") == "[None, '2', None]\n"
+    assert _fresh_python(READ_THREAD_ENV, "sweep", OMP_NUM_THREADS="2") == "[None, '2', None]\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(), ("evolve",), ("evolve", "--out", "sweep"), ("fig4",), ("estimate-device",)],
+    ids=["no-command", "evolve", "evolve-out-sweep", "fig4", "estimate-device"],
+)
+def test_cli_import_keeps_the_library_default_off_the_spectral_commands(args):
+    # evolve's dense expm at a large n_max runs faster on more BLAS threads
+    assert _fresh_python(READ_THREAD_ENV, *args) == "[None, None, None]\n"
+
+
+def test_cli_import_after_numpy_sets_nothing():
+    # numpy has already fixed the thread count; setting the variables would
+    # change only the subprocesses started later
+    code = "import numpy\n" + READ_THREAD_ENV
+    assert _fresh_python(code, "sweep") == "[None, None, None]\n"
