@@ -15,20 +15,25 @@ with kinetic coefficients fixed by the charging-to-Josephson energy ratio
 The potential is invariant under the half-period translation
 ``(phi_p, phi_q) -> (phi_p + pi, phi_q + 2*pi)``, so the spectrum on the full
 ``[-pi,pi) x [-2pi,2pi)`` torus contains every physical level twice, once per
-symmetry sector.  ``assemble_hamiltonian`` builds one sector as a Kronecker
-sum over (``phi_p`` mode, ``phi_q`` site): real trigonometric modes in
-``phi_p``, each carrying a finite-difference ring on the reduced domain
-``[-pi, pi)`` whose closing link takes a per-mode sign (the sector
-condition), with the ``cos(phi_p)`` part of the potential coupling
-neighbouring modes.  Spectra and the elements of the loop current and of
-``dH/df_s``, assembled beside it, are computed in this basis; the torus and
-position-sampled states it is checked against live with the test oracles.
+symmetry sector.  ``assemble_hamiltonian`` builds one sector over
+(``phi_p`` mode, ``phi_q`` momentum): real trigonometric modes in ``phi_p``,
+each carrying a finite-difference ring on the reduced domain ``[-pi, pi)``
+whose closing link takes a per-mode sign (the sector condition).  Each ring
+is written in its real discrete Fourier basis, integer momenta on an
+untwisted ring and half-integer ones on a twisted ring, where the ring
+Laplacian is diagonal and the potential's ``phi_q`` terms shift the momentum
+by 1 or 1/2.  The ``cos(phi_p)`` part of the potential couples neighbouring
+modes.  Spectra and the elements of the loop current and of ``dH/df_s``,
+assembled beside it, are computed in this basis; the position-basis
+assembly, the torus and the position-sampled states it is checked against
+live with the test oracles.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property, lru_cache
 from typing import Literal
 
 import numpy as np
@@ -157,28 +162,256 @@ def circulating_current(params: CircuitParams, phi_p, phi_q):
     return -np.cos(phi_p) * np.sin(math.pi * params.f + phi_q / 2.0)
 
 
+def _ring_momenta(n: int, twisted: bool) -> np.ndarray:
+    """Doubled momentum ``2|kappa|`` of each real row of an ``n``-site ring.
+
+    Rows run in ascending ``|kappa|``, cosine before sine: ``1, cos, sin,
+    cos 2, ...`` (integer kappa) on an untwisted ring, ``cos 1/2, sin 1/2,
+    cos 3/2, ...`` on a twisted one.  The row with ``2|kappa| = n``, on the
+    ring whose parity matches ``n``, is the self-paired ``(-1)^j``.
+    """
+    rows = np.arange(n)
+    return 2 * (rows // 2) + 1 if twisted else 2 * ((rows + 1) // 2)
+
+
+def _ring_product(n: int, twisted: bool, shift: int, sine: bool) -> sp.csr_matrix:
+    """Multiplication by ``cos(shift theta/2)`` (``sin`` if ``sine``) between ring rows.
+
+    Maps the rows of a ring of the given twist to those of the ring
+    ``shift/2`` away in momentum (the other twist for odd ``shift``).  By
+    the product-to-sum rules each row lands on ``kappa +- shift/2`` with
+    half weight, folded into ``(-n/2, n/2]`` (on the sites ``kappa`` and
+    ``kappa + n`` are one wave) and rescaled by the norms of the two rows:
+    ``1/sqrt(n)`` for a self-paired row, ``sqrt(2/n)`` otherwise.
+    """
+    rows, cols, vals = [], [], []
+    for col, p in enumerate(_ring_momenta(n, twisted).tolist()):
+        col_sine = col == p and p > 0
+        out_sine = sine != col_sine  # cos cos and sin sin give cos, mixed give sin
+        for sign in (1, -1):
+            # sin a sin b = (cos(b - a) - cos(b + a))/2
+            # sin a cos b = (sin(b + a) - sin(b - a))/2
+            weight = -0.5 if sine and col_sine == (sign == 1) else 0.5
+            q = (p + sign * shift) % (2 * n)
+            q = q - 2 * n if q > n else q
+            if q < 0:
+                q, weight = -q, -weight if out_sine else weight
+            if out_sine and q % n == 0:
+                continue  # a sine at kappa = 0 or n/2 vanishes on every site
+            if (p % n == 0) != (q % n == 0):
+                weight *= math.sqrt(0.5) if p % n == 0 else math.sqrt(2.0)
+            rows.append(q if out_sine else max(q - 1, 0))
+            cols.append(col)
+            vals.append(weight)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+class _FixedParts:
+    """The ``f``-independent pieces of one sector operator, on one sparsity pattern.
+
+    ``H(f) = H0 + cos(pi f) C + sin(pi f) S``.  The three never share an
+    entry: ``H0`` fills the blocks of one ``phi_p`` mode, ``C`` and ``S`` the
+    blocks between modes, where ``C`` (from ``sin(theta/2)``) turns a cosine
+    momentum row into a sine one and ``S`` (from ``cos(theta/2)``) keeps the
+    kind.  So ``values`` holds every entry of the pattern ``(cols,
+    indptr)`` once, and ``tags`` says which part it belongs to (0, 1, 2);
+    an operator builds the loop current ``(sin(pi f) C - cos(pi f) S)/2`` on
+    the same pattern.  Principal blocks of kept cutoffs are cut once and kept.  Every
+    array is read-only, since the operators of all points share them.
+    """
+
+    def __init__(self, params: CircuitParams, grid: PhaseGrid, sector: str) -> None:
+        sigma = 1 if sector == "even" else -1
+        # harmonic of each mode 1, cos(phi_p), sin(phi_p), cos(2 phi_p), ... up to
+        # (n_p - 1)//2; an even n_p drops its unpaired Nyquist harmonic
+        ms = (np.arange(2 * ((grid.n_p - 1) // 2) + 1) + 1) // 2
+        n_modes, n, h = ms.size, grid.n_q_half, grid.h_q_half
+        self.dim = n_modes * n
+        # the ring of mode m closes with sigma (-1)^m: twisted where that is -1
+        twisted = sigma * (1 - 2 * (ms % 2)) < 0
+        flat = np.where(twisted[:, None], _ring_momenta(n, True), _ring_momenta(n, False))
+        self.row_harmonic = np.repeat(ms, n)
+        self.row_momentum = flat.ravel() / 2.0
+
+        # cos(phi_p) links each mode to the next harmonic of its kind (index a to
+        # a + 2), and the constant mode to cos(phi_p) at index 1
+        upper = np.r_[0, 1 : n_modes - 2], np.r_[1, 3:n_modes]
+        weights = np.where(upper[0] == 0, 1.0 / math.sqrt(2.0), 0.5)
+        ladder = np.r_[upper[0], upper[1]], np.r_[upper[1], upper[0]], np.r_[weights, weights]
+
+        def kron(row_modes, col_modes, weights, ring):
+            # entries of sum_i weights_i E(row_modes_i, col_modes_i) (x) ring
+            ring = ring.tocoo()
+            return (
+                (row_modes.astype(np.int32)[:, None] * n + ring.row).ravel(),
+                (col_modes.astype(np.int32)[:, None] * n + ring.col).ravel(),
+                (weights[:, None] * ring.data).ravel(),
+            )
+
+        def across(sine):
+            # -2 L (x) (cos or sin of theta/2); L's block (a, b) maps mode b's ring
+            # to mode a's, untwisted to twisted or back
+            up = _ring_product(n, False, 1, sine)
+            pieces = []
+            for t, ring in ((False, up), (True, up.T)):
+                a, b, w = (x[twisted[ladder[1]] == t] for x in ladder)
+                pieces.append(kron(a, b, -2.0 * w, ring))
+            return [np.concatenate(x) for x in zip(*pieces)]
+
+        def within(t):
+            # cos(theta) on the ring of every mode of twist t
+            full = _ring_product(n, t, 2, False)
+            modes = np.flatnonzero(twisted == t)
+            return kron(modes, modes, np.ones(modes.size), sp.triu(full) + sp.triu(full, 1).T)
+
+        # phi_q = theta - pi on the sites theta_j = h j, so cos(phi_q) = -cos(theta)
+        # and cos(pi f + phi_q/2) = sin(pi f) cos(theta/2) + cos(pi f) sin(theta/2)
+        laplacian = (2.0 - 2.0 * np.cos(flat * math.pi / n)) / h**2  # kappa h = flat pi/n
+        kinetic = params.c_p * ms[:, None] ** 2 + params.c_q * laplacian
+        shape = (self.dim, self.dim)
+        rows, cols, cos_theta = (np.concatenate(x) for x in zip(within(False), within(True)))
+        squid = sp.csr_matrix((cos_theta, (rows, cols)), shape=shape)
+        # an odd ring's top momentum meets itself under cos(theta): the sum adds
+        # that entry to the diagonal
+        h0 = (
+            sp.diags(kinetic.ravel() + 2.0 + 2.0 * params.gamma)
+            + 2.0 * params.gamma * math.cos(math.pi * params.f_s) * squid
+        ).tocoo()
+        pieces = [(h0.row, h0.col, h0.data), across(True), across(False)]
+        tags = np.repeat(np.arange(3, dtype=np.int8), [v.size for *_, v in pieces])
+        rows, cols, values = (np.concatenate(x) for x in zip(*pieces))
+        del pieces, h0  # release the pieces before the sort copies every entry
+        order = np.lexsort((cols, rows))
+        self.cols, self.values, self.tags = cols[order], values[order], tags[order]
+        self.indptr = _indptr(rows[order], self.dim)
+        del rows, cols, values, tags, order
+        d_u = -2.0 * math.pi * params.gamma * math.sin(math.pi * params.f_s)
+        self.dh_dfs = d_u * squid
+        _read_only(self.cols, self.indptr, self.values, self.tags, self.row_harmonic,
+                   self.row_momentum, self.dh_dfs.data, self.dh_dfs.indices, self.dh_dfs.indptr)
+
+        # position-basis pieces of the spectral floor and of the gate's scale
+        self.phi_q = grid.phi_q_half_axis
+        self.u_sites = 2.0 + 2.0 * params.gamma * (
+            1.0 - math.cos(math.pi * params.f_s) * np.cos(self.phi_q)
+        )
+        self.mode_row_base = params.c_p * ms * ms + 4.0 * params.c_q / h**2
+        self.ladder_sums = np.bincount(ladder[0], weights=ladder[2], minlength=n_modes)
+        self.blocks: dict[tuple[int, int], tuple] = {}
+
+    def block(self, harmonics: int, momenta: int) -> tuple:
+        """Kept rows and pattern of the block ``m <= harmonics``, ``|kappa| <= momenta``."""
+        key = (harmonics, momenta)
+        if key not in self.blocks:
+            keep = (self.row_harmonic <= harmonics) & (self.row_momentum <= momenta)
+            renumber = np.cumsum(keep) - 1
+            rows = _entry_rows(self.indptr)
+            inside = keep[rows] & keep[self.cols]
+            kept = np.flatnonzero(keep)
+            self.blocks[key] = _read_only(
+                kept,
+                renumber[self.cols[inside]].astype(np.int32),
+                _indptr(renumber[rows[inside]], kept.size),
+                self.values[inside],
+                self.tags[inside],
+            )
+        return self.blocks[key]
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+def _entry_rows(indptr: np.ndarray) -> np.ndarray:
+    """Row index of each entry of a CSR pattern."""
+    return np.repeat(np.arange(indptr.size - 1, dtype=np.int32), np.diff(indptr))
+
+
+def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
+    """CSR row pointers of entries whose (sorted) row indices are ``rows``."""
+    return np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))]).astype(np.int32)
+
+
+# one entry: a sweep solves its points f_s by f_s, and each pool process takes
+# a contiguous run of them, so a second entry would only hold memory
+@lru_cache(maxsize=1)
+def _fixed_parts(
+    gamma: float, ej_over_ec: float, f_s: float, grid: PhaseGrid, sector: str
+) -> _FixedParts:
+    return _FixedParts(CircuitParams(gamma=gamma, ej_over_ec=ej_over_ec, f_s=f_s), grid, sector)
+
+
+def _part_weights(f: float) -> np.ndarray:
+    """Weights of ``H0``, ``C`` and ``S`` (entries tagged 0, 1, 2) at flux ``f``."""
+    return np.array([1.0, math.cos(math.pi * f), math.sin(math.pi * f)])
+
+
 @dataclass
 class HamiltonianOperator:
     """Sparse symmetric real sector Hamiltonian in units of E_J.
 
     ``matrix`` acts on coefficient vectors over (trigonometric ``phi_p``
-    mode, ``phi_q`` ring site at ``phi_q_axis``), site fastest; an l2-unit
-    vector is a unit-normalised wavefunction.  ``current`` (the loop current
-    :func:`circulating_current`) and ``dh_dfs`` (``dH/df_s``) act in the
-    same basis.  ``lower_bound`` is a floor on the spectrum: every
-    eigenvalue of ``matrix`` is at least this value.
+    mode, real ``phi_q`` momentum row), momentum fastest; an l2-unit vector
+    is a unit-normalised wavefunction.  ``current`` (the loop current
+    :func:`circulating_current`, built on first use) and ``dh_dfs``
+    (``dH/df_s``) act in the same basis.  ``lower_bound`` is a floor on the
+    spectrum: every eigenvalue of ``matrix`` is at least this value.
+    ``scale`` is the operator's infinity norm in the position basis (mode,
+    ring site), the scale of the eigensolver's residual gate.  ``row_harmonic`` and
+    ``row_momentum`` give each basis row's ``phi_p`` harmonic and ``|kappa|``;
+    which rows carry half-integer momenta depends on ``sector``.
     """
 
     matrix: sp.csr_matrix
-    current: sp.csr_matrix
     dh_dfs: sp.csr_matrix
     params: CircuitParams
+    grid: PhaseGrid
+    sector: str
     lower_bound: float
-    phi_q_axis: np.ndarray
+    scale: float
+    parts: _FixedParts = field(repr=False)
 
     @property
     def dimension(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def current(self) -> sp.csr_matrix:
+        # (sin(pi f) C - cos(pi f) S)/2 = -dH/d(pi f)/2, stored on H's pattern
+        # with zeros where H0 sits
+        weights = _part_weights(self.params.f)
+        weights = 0.5 * np.array([0.0, weights[2], -weights[1]])
+        data = self.parts.values * weights[self.parts.tags]
+        return sp.csr_matrix((data, self.parts.cols, self.parts.indptr), shape=self.matrix.shape)
+
+    @property
+    def harmonics(self) -> int:
+        """Highest ``phi_p`` harmonic of the basis."""
+        return (self.grid.n_p - 1) // 2
+
+    @property
+    def momenta(self) -> int:
+        """Smallest momentum cutoff ``|kappa| <= momenta`` that keeps every row."""
+        return (self.grid.n_q_half + 1) // 2
+
+    @property
+    def row_harmonic(self) -> np.ndarray:
+        return self.parts.row_harmonic
+
+    @property
+    def row_momentum(self) -> np.ndarray:
+        return self.parts.row_momentum
+
+    def block(self, harmonics: int, momenta: int) -> tuple[sp.csr_matrix, np.ndarray]:
+        """Principal block of the rows with ``m <= harmonics`` and ``|kappa| <= momenta``.
+
+        Returns the block and the indices of its rows in the full basis.
+        """
+        kept, cols, indptr, values, tags = self.parts.block(harmonics, momenta)
+        data = values * _part_weights(self.params.f)[tags]
+        return sp.csr_matrix((data, cols, indptr), shape=(kept.size, kept.size)), kept
 
 
 def assemble_hamiltonian(
@@ -191,8 +424,9 @@ def assemble_hamiltonian(
 
     The operator is exact in ``phi_p`` (trigonometric modes up to the grid's
     Nyquist harmonic) and second order in ``phi_q`` (3-point finite
-    differences on the ``n_q_half``-point ring of step ``h``).  Over
-    (mode of harmonic ``m``, ring site) it is the Kronecker sum::
+    differences on the ``n_q_half``-point ring of step ``h``).  In position
+    form, over (mode of harmonic ``m``, ring site ``phi_j = -pi + h j``), it
+    is the Kronecker sum::
 
         H = diag((c_p m^2 + 2 c_q/h^2)[:, None] + U(phi_q))
             + I_modes (x) chain + diag(wrap) (x) corner
@@ -206,51 +440,45 @@ def assemble_hamiltonian(
     between neighbouring harmonics of one kind, 1/sqrt(2) from the constant
     mode to ``cos(phi_p)``.
 
+    Each ring is then written in its real discrete Fourier basis over
+    ``theta_j = phi_j + pi`` (an exact, orthogonal change of basis): integer
+    momenta ``kappa`` where ``wrap = 1``, half-integer where it is -1.  The
+    ring Laplacian becomes the diagonal ``c_q (2 - 2 cos(kappa h))/h^2``,
+    ``cos(phi_q)`` a +-1 shift in ``kappa``, and ``cos(pi f + phi_q/2)`` and
+    ``sin(pi f + phi_q/2)`` +-1/2 shifts between twisted and untwisted
+    rings.  So ``H = H0 + cos(pi f) C + sin(pi f) S`` on one pattern, whose
+    ``f``-independent parts are built once per ``(f_s, grid, sector)``; the
+    last ones built are kept, so the points of one ``f_s`` share them.
+
     ``lower_bound`` is ``min(U(phi_q) - 2 |cos(pi f + phi_q/2)|)`` over the
     ring sites, the grid minimum of the potential at ``cos(phi_p) = +-1``.
     ``current`` is ``-L (x) diag(sin(pi f + phi_q/2))``, and ``dh_dfs`` the
-    diagonal ``2 pi gamma sin(pi f_s) cos(phi_q)`` on every mode.
+    diagonal ``2 pi gamma sin(pi f_s) cos(phi_q)`` on every mode, both in
+    the momentum basis.
     """
     if sector not in ("even", "odd"):
         raise ValueError(f"sector must be 'even' or 'odd', got {sector!r}")
-    sigma = 1.0 if sector == "even" else -1.0
-    # harmonic of each mode 1, cos(phi_p), sin(phi_p), cos(2 phi_p), ... up to
-    # (n_p - 1)//2; an even n_p drops its unpaired Nyquist harmonic
-    ms = (np.arange(2 * ((grid.n_p - 1) // 2) + 1) + 1) // 2
-    n_modes, n_q, q_axis = ms.size, grid.n_q_half, grid.phi_q_half_axis
-    inv_h2 = 1.0 / (grid.h_q_half * grid.h_q_half)
-    hop = -params.c_q * inv_h2
-
-    u_diag = 2.0 + 2.0 * params.gamma * (1.0 - math.cos(math.pi * params.f_s) * np.cos(q_axis))
-    on_site = (params.c_p * ms * ms + 2.0 * params.c_q * inv_h2)[:, None] + u_diag
-    chain = sp.diags([hop, hop], [-1, 1], shape=(n_q, n_q))
-    corner = sp.coo_matrix(([hop, hop], ([0, n_q - 1], [n_q - 1, 0])), shape=(n_q, n_q))
-    wrap = sigma * np.where(ms % 2 == 0, 1.0, -1.0)
-    # cos(phi_p) links each mode to the next harmonic of its kind (index a to
-    # a + 2), and the constant mode to cos(phi_p) at index 1
-    rows, cols = np.r_[0, 1 : n_modes - 2], np.r_[1, 3:n_modes]
-    weights = np.where(rows == 0, 1.0 / math.sqrt(2.0), 0.5)
-    upper = sp.coo_matrix((weights, (rows, cols)), shape=(n_modes, n_modes))
-    ladder = upper + upper.T
-    g_profile = np.cos(math.pi * params.f + q_axis / 2.0)
-
-    ham = (
-        sp.diags(on_site.ravel())
-        + sp.kron(sp.identity(n_modes), chain)
-        + sp.kron(sp.diags(wrap), corner)
-        + sp.kron(-2.0 * ladder, sp.diags(g_profile))
-    )
-    d_u = 2.0 * math.pi * params.gamma * math.sin(math.pi * params.f_s) * np.cos(q_axis)
+    parts = _fixed_parts(params.gamma, params.ej_over_ec, params.f_s, grid, sector)
+    g_abs = np.abs(np.cos(math.pi * params.f + parts.phi_q / 2.0))
+    data = parts.values * _part_weights(params.f)[parts.tags]
     # H >= lower_bound: the kinetic part is positive semidefinite (c_p m^2 >= 0,
     # and the ring Laplacian with either closing sign is >= 0), and L is a
     # principal submatrix of the cos(phi_p) multiplication operator in an
     # orthonormal basis, so ||L||_2 <= 1 and each site's potential block
-    # U - 2 g L is >= U - 2|g|
+    # U - 2 g L is >= U - 2|g|.  The position-basis row of (mode a, site j)
+    # sums to c_p m^2 + 4 c_q/h^2 + U_j + 2 |g_j| sum_b |L_ab|.
     return HamiltonianOperator(
-        matrix=ham.tocsr(),
-        current=sp.kron(-ladder, sp.diags(np.sin(math.pi * params.f + q_axis / 2.0))).tocsr(),
-        dh_dfs=sp.diags(np.tile(d_u, n_modes), format="csr"),
+        matrix=sp.csr_matrix((data, parts.cols, parts.indptr), shape=(parts.dim, parts.dim)),
+        dh_dfs=parts.dh_dfs,
         params=params,
-        lower_bound=float(np.min(u_diag - 2.0 * np.abs(g_profile))),
-        phi_q_axis=q_axis,
+        grid=grid,
+        sector=sector,
+        lower_bound=float(np.min(parts.u_sites - 2.0 * g_abs)),
+        scale=float(
+            np.max(
+                (parts.mode_row_base[:, None] + parts.u_sites)
+                + 2.0 * parts.ladder_sums[:, None] * g_abs
+            )
+        ),
+        parts=parts,
     )

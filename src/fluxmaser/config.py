@@ -71,7 +71,9 @@ class _Block:
 @dataclass(frozen=True)
 class CircuitBlock(_Block):
     gamma: float = _rule(0.5, 0, above=True)
-    ej_over_ec: float = _rule(100.0, 0, above=True)
+    # the kinetic energies scale as E_c/E_J, and K_ij squares a gap: below this
+    # floor a level's square leaves the double range
+    ej_over_ec: float = _rule(100.0, 1e-100)
     ej_freq: float = _rule(400.0, 0, above=True)
     n_p: int = _rule(81, MIN_N_P)
     n_q: int = _rule(161, MIN_N_Q)

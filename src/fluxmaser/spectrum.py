@@ -10,20 +10,23 @@ spectral-transformation Lanczos method of Ericsson & Ruhe, Math. Comp. 35,
 ordering.  The start vector is deterministically seeded, so repeated calls
 give bit-identical results.  A residual gate rejects unconverged eigenpairs.
 
-The low states use only the first few ``phi_p`` harmonics, so the solve
-keeps harmonics ``m <= M``: with the modes ordered ``1, cos, sin, cos 2,
-...`` that is the principal block of the first ``(2M+1) n_q`` rows.  By
-Cauchy interlacing the block's levels lie at or above the full operator's,
-so the floor stays a valid shift.  The block eigenvectors, padded with
-zeros, go through the unchanged residual gate on the full operator; their
-residual there is exactly their coupling to the dropped harmonics, and by
-the Kato-Temple inequality (T. Kato, J. Phys. Soc. Jpn. 4, 334 (1949)) a
-residual ``r`` moves a level by at most ``r**2`` over its distance to the
-rest of the spectrum.  A solve whose largest residual misses
-``TRUNCATION_TARGET`` times the gate bound is repeated with ``M`` doubled,
-up to the full basis, which runs the plain full-operator solve.
-``EigenSpectrum.harmonics`` reports the ``M`` kept.  The states are the
-operator's coefficient vectors, so elements are read in the same basis.
+The low states use only the first few ``phi_p`` harmonics and ``phi_q``
+momenta, so the solve keeps harmonics ``m <= M`` and momenta
+``|kappa| <= K``: the principal block of those rows of the operator's
+(mode, momentum) basis.  By Cauchy interlacing the block's levels lie at or
+above the full operator's, so the floor stays a valid shift.  The block
+eigenvectors, padded with zeros, go through the unchanged residual gate on
+the full operator; their residual there is exactly their coupling to the
+dropped rows, and by the Kato-Temple inequality (T. Kato, J. Phys. Soc.
+Jpn. 4, 334 (1949)) a residual ``r`` moves a level by at most ``r**2`` over
+its distance to the rest of the spectrum.  A solve whose largest residual
+misses ``TRUNCATION_TARGET`` times the gate bound is repeated with ``M``,
+``K`` or both doubled (whichever cut carries the miss), up to the full
+basis.  The gate's scale is the operator's infinity norm in the position
+basis, ``HamiltonianOperator.scale``, since that norm is not
+basis-invariant.  ``EigenSpectrum.harmonics`` and ``EigenSpectrum.momenta`` report
+the ``M`` and ``K`` kept.  The states are the operator's coefficient
+vectors, so elements are read in the same basis.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .circuit import CircuitParams, HamiltonianOperator
+from .circuit import CircuitParams, HamiltonianOperator, PhaseGrid
 from .errors import ConvergenceError
 
 __all__ = ["EigenSpectrum", "lowest_eigenpairs"]
@@ -46,7 +49,7 @@ DEFAULT_DEGENERACY_TOL = 5e-4
 # a truncated solve is kept only if its full-operator residuals stay this far
 # below the gate bound
 TRUNCATION_TARGET = 1e-3
-# the starting harmonic cutoff drops coefficients estimated below this
+# the starting harmonic and momentum cutoffs drop coefficients estimated below this
 COEFF_FLOOR = 1e-12
 
 
@@ -63,7 +66,8 @@ class EigenSpectrum:
     ``"lanczos"``; ``shift`` is the shift-invert point, below ``levels[0]``,
     and ``solves`` counts the factorised solves the Lanczos iterations asked
     for.  ``harmonics`` is the highest ``phi_p`` harmonic the accepted solve
-    kept (``(n_p - 1)//2`` for the full basis).
+    kept (``(n_p - 1)//2`` for the full basis), and ``momenta`` the highest
+    ``phi_q`` momentum ``|kappa|`` (``(n_q_half + 1)//2`` for the full basis).
     """
 
     params: CircuitParams
@@ -76,6 +80,7 @@ class EigenSpectrum:
     shift: float
     solves: int
     harmonics: int
+    momenta: int
 
     @property
     def k(self) -> int:
@@ -113,21 +118,51 @@ def _start_harmonics(params: CircuitParams) -> int:
     return math.ceil(math.sqrt(-2.0 * math.log(COEFF_FLOOR) / math.sqrt(params.c_p)))
 
 
+def _start_momenta(params: CircuitParams, grid: PhaseGrid) -> int:
+    """Estimated highest ``phi_q`` momentum ``|kappa|`` the low states use.
+
+    The stiffest ``phi_q`` well the potential can form is ``a phi_q^2`` with
+    ``a = 1/4 + gamma |cos(pi f_s)|`` (half the largest ``d2U/dphi_q^2``).
+    In momentum space the well's ``a phi_q^2`` is the kinetic term and the
+    finite-difference dispersion ``c_q (2 - 2 cos(kappa h))/h^2`` the
+    potential, so the ground state's momentum profile falls as
+    ``exp(-(8/h^2) sqrt(c_q/a) sin^2(kappa h/4))`` (WKB, exact for the
+    Gaussian as ``h -> 0``); this is the first ``kappa`` where that drops
+    below ``COEFF_FLOOR``, or every momentum if it never does.  Only an
+    estimate: the residual check certifies it.
+    """
+    h = grid.h_q_half
+    a = 0.25 + params.gamma * abs(math.cos(math.pi * params.f_s))
+    reach = -math.log(COEFF_FLOOR) * h * h / (8.0 * math.sqrt(params.c_q / a))
+    if reach >= 1.0:
+        return (grid.n_q_half + 1) // 2
+    return math.ceil(4.0 / h * math.asin(math.sqrt(reach)))
+
+
 def _residual_bound(scale: float) -> float:
     """Largest accepted residual norm for an operator of infinity norm ``scale``."""
     return max(1e-8 * scale, 1e-10)
 
 
+def _column_norms(columns: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each column, scaled by a power of two so that no square overflows."""
+    rows = np.ascontiguousarray(columns.T)
+    scale = np.ldexp(1.0, np.frexp(np.max(np.abs(rows), axis=1, initial=0.0))[1])
+    rows /= scale[:, None]
+    return np.sqrt(np.einsum("ij,ij->i", rows, rows)) * scale
+
+
 def _solve_block(
-    op: HamiltonianOperator, k: int, seed: int, harmonics: int
+    op: HamiltonianOperator, k: int, seed: int, harmonics: int, momenta: int
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Lowest ``k`` eigenpairs of the block of ``phi_p`` harmonics ``m <= harmonics``.
+    """Lowest ``k`` eigenpairs of the block of harmonics ``m <= harmonics`` and
+    momenta ``|kappa| <= momenta``.
 
     Returns ascending levels, the eigenvectors padded with zeros to the full
     operator's dimension, and the number of factorised solves.
     """
-    n = (2 * harmonics + 1) * op.phi_q_axis.size
-    matrix = op.matrix if n == op.dimension else op.matrix[:n, :n]
+    matrix, rows = op.block(harmonics, momenta)
+    n = rows.size
     shift = op.lower_bound
     lu = spla.splu((matrix - shift * sp.identity(n)).tocsc(), permc_spec="MMD_AT_PLUS_A")
     solves = 0
@@ -146,10 +181,9 @@ def _solve_block(
         # not hand it back as a failed point
         raise ConvergenceError(str(exc)) from exc
     order = np.argsort(vals)
-    vecs = vecs[:, order]
-    if n < op.dimension:
-        vecs = np.concatenate([vecs, np.zeros((op.dimension - n, k))])
-    return vals[order], vecs, solves
+    padded = np.zeros((op.dimension, k))
+    padded[rows] = vecs[:, order]
+    return vals[order], padded, solves
 
 
 def lowest_eigenpairs(
@@ -177,20 +211,32 @@ def lowest_eigenpairs(
     if k >= dim:
         raise ValueError(f"k={k} too large for operator dimension {dim}")
 
-    scale = spla.norm(op.matrix, np.inf)
+    scale = op.scale
     bound = _residual_bound(scale)
-    top = (dim // op.phi_q_axis.size - 1) // 2
-    harmonics = min(_start_harmonics(op.params), top)
+    target = TRUNCATION_TARGET * bound
+    full = (op.harmonics, op.momenta)
+    # never below 2, so that the block keeps more than 2 MAX_K + 1 rows
+    harmonics = min(max(_start_harmonics(op.params), 2), op.harmonics)
+    momenta = min(max(_start_momenta(op.params, op.grid), 2), op.momenta)
     solves = 0
     while True:
-        vals, vecs, used = _solve_block(op, k, seed, harmonics)
+        vals, vecs, used = _solve_block(op, k, seed, harmonics, momenta)
         solves += used
-        residuals = np.array(
-            [np.linalg.norm(op.matrix @ vecs[:, i] - vals[i] * vecs[:, i]) for i in range(k)]
-        )
-        if harmonics == top or residuals.max() <= TRUNCATION_TARGET * bound:
+        misfit = op.matrix @ vecs - vecs * vals
+        residuals = _column_norms(misfit)
+        if residuals.max() <= target or (harmonics, momenta) == full:
             break
-        harmonics = min(2 * harmonics, top)
+        # widen the cut whose dropped rows carry the miss, both if neither does
+        dropped_m = op.row_harmonic > harmonics
+        dropped_k = ~dropped_m & (op.row_momentum > momenta)
+        miss_m, miss_k = (
+            _column_norms(misfit[rows]).max() > target / math.sqrt(2.0)
+            for rows in (dropped_m, dropped_k)
+        )
+        if miss_m or not miss_k:
+            harmonics = min(2 * harmonics, op.harmonics)
+        if miss_k or not miss_m:
+            momenta = min(2 * momenta, op.momenta)
     worst = residuals.max()
     if worst > bound:
         raise ConvergenceError(
@@ -219,4 +265,5 @@ def lowest_eigenpairs(
         shift=op.lower_bound,
         solves=solves,
         harmonics=harmonics,
+        momenta=momenta,
     )

@@ -74,8 +74,8 @@ class PointRecord:
     ``levels`` holds the ``k`` lowest levels in E_J; ``t_ij`` are transition
     amplitudes and ``k_ij`` ramp coefficients in ns, NaN where the pair is
     closer than the degeneracy floor (a crossing).  ``shift``, ``solves``,
-    ``harmonics`` and ``max_residual`` are the eigensolver's diagnostics, as
-    reported by :class:`EigenSpectrum`.
+    ``harmonics``, ``momenta`` and ``max_residual`` are the eigensolver's
+    diagnostics, as reported by :class:`EigenSpectrum`.
     """
 
     levels: np.ndarray
@@ -87,6 +87,7 @@ class PointRecord:
     shift: float
     solves: int
     harmonics: int
+    momenta: int
     max_residual: float
 
 
@@ -124,6 +125,7 @@ def point_record(
         shift=spec.shift,
         solves=spec.solves,
         harmonics=spec.harmonics,
+        momenta=spec.momenta,
         max_residual=float(spec.residuals.max()),
     )
 

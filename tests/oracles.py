@@ -9,6 +9,7 @@ import math
 import warnings
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh, expm
@@ -100,23 +101,107 @@ def sector_hamiltonian_dense(params, grid, sector: str) -> np.ndarray:
     return ham
 
 
-def position_samples(grid, vec: np.ndarray) -> np.ndarray:
+def position_hamiltonian(params, grid, sector: str):
+    """The sector operator in position form, over (trig ``phi_p`` mode, ring site).
+
+    Rows run over the modes of :func:`sector_hamiltonian_dense` and the
+    ``grid.phi_q_half_axis`` sites, site fastest: the position-form
+    Kronecker sum of ``fluxmaser.circuit.assemble_hamiltonian``'s docstring,
+    which the library then writes in ring momenta.  Returns
+    ``(H, current, dh_dfs)``.
+    """
+    sigma = 1.0 if sector == "even" else -1.0
+    ms = (np.arange(2 * ((grid.n_p - 1) // 2) + 1) + 1) // 2
+    n_modes, n_q, q_axis = ms.size, grid.n_q_half, grid.phi_q_half_axis
+    inv_h2 = 1.0 / (grid.h_q_half * grid.h_q_half)
+    hop = -params.c_q * inv_h2
+
+    u_diag = 2.0 + 2.0 * params.gamma * (1.0 - math.cos(math.pi * params.f_s) * np.cos(q_axis))
+    on_site = (params.c_p * ms * ms + 2.0 * params.c_q * inv_h2)[:, None] + u_diag
+    chain = sp.diags([hop, hop], [-1, 1], shape=(n_q, n_q))
+    corner = sp.coo_matrix(([hop, hop], ([0, n_q - 1], [n_q - 1, 0])), shape=(n_q, n_q))
+    wrap = sigma * np.where(ms % 2 == 0, 1.0, -1.0)
+    rows, cols = np.r_[0, 1 : n_modes - 2], np.r_[1, 3:n_modes]
+    weights = np.where(rows == 0, 1.0 / math.sqrt(2.0), 0.5)
+    upper = sp.coo_matrix((weights, (rows, cols)), shape=(n_modes, n_modes))
+    ladder = upper + upper.T
+    g_profile = np.cos(math.pi * params.f + q_axis / 2.0)
+
+    ham = (
+        sp.diags(on_site.ravel())
+        + sp.kron(sp.identity(n_modes), chain)
+        + sp.kron(sp.diags(wrap), corner)
+        + sp.kron(-2.0 * ladder, sp.diags(g_profile))
+    )
+    d_u = 2.0 * math.pi * params.gamma * math.sin(math.pi * params.f_s) * np.cos(q_axis)
+    current = sp.kron(-ladder, sp.diags(np.sin(math.pi * params.f + q_axis / 2.0)))
+    return ham.tocsr(), current.tocsr(), sp.diags(np.tile(d_u, n_modes), format="csr")
+
+
+def ring_transform(n: int, twisted: bool) -> np.ndarray:
+    """Orthonormal real discrete Fourier transform of an ``n``-site ring.
+
+    Column ``r`` samples, on the sites ``theta_j = 2 pi j/n``, the ``r``-th
+    real wave in ascending ``|kappa|``, cosine before sine: ``1, cos(theta),
+    sin(theta), cos(2 theta), ...`` untwisted (the ring closes with +1),
+    ``cos(theta/2), sin(theta/2), cos(3 theta/2), ...`` twisted (it closes
+    with -1).  The wave with ``2|kappa| = n`` has no sine partner.
+    """
+    theta = 2.0 * np.pi * np.arange(n) / n
+    q = np.empty((n, n))
+    for r in range(n):
+        kappa = r // 2 + 0.5 if twisted else (r + 1) // 2
+        sine = r % 2 == (1 if twisted else 0) and kappa > 0
+        paired = (2 * kappa) % n != 0
+        wave = np.sin(kappa * theta) if sine else np.cos(kappa * theta)
+        q[:, r] = wave * (np.sqrt(2.0 / n) if paired else np.sqrt(1.0 / n))
+    return q
+
+
+def mode_rings(grid, sector: str) -> list[np.ndarray]:
+    """The :func:`ring_transform` of each trig ``phi_p`` mode's ring.
+
+    A mode of harmonic ``m`` closes its ring with ``sigma (-1)^m`` (``sigma``
+    the sector sign), so its ring is twisted where that is -1.
+    """
+    sigma = {"even": 1, "odd": -1}[sector]
+    ms = (np.arange(2 * ((grid.n_p - 1) // 2) + 1) + 1) // 2
+    rings = {t: ring_transform(grid.n_q_half, t) for t in (False, True)}
+    return [rings[sigma * (-1) ** int(m) < 0] for m in ms]
+
+
+def momentum_transform(grid, sector: str) -> np.ndarray:
+    """Dense block-diagonal map ``Q`` from the momentum basis to the position basis.
+
+    The library's operator is ``Q^T (position operator) Q``.  Dense, so only
+    for small grids.
+    """
+    return scipy.linalg.block_diag(*mode_rings(grid, sector))
+
+
+def position_samples(grid, vec: np.ndarray, sector: str) -> np.ndarray:
     """Wavefunction samples of a sector coefficient vector on the position grid.
 
-    ``vec`` runs over (trig ``phi_p`` mode, ring site) like the sector
-    operator, with the modes of ``sector_hamiltonian_dense``.  The result is
-    sampled on ``(phi_p_axis, grid.phi_q_half_axis)`` and an l2-unit ``vec``
-    comes out unit-normalised under the quadrature weight
-    ``h_p * grid.h_q_half`` (``phi_p_axis`` and ``h_p`` of :func:`torus_axes`).
+    ``vec`` runs over (trig ``phi_p`` mode, ``phi_q`` momentum row) like the
+    sector operator, and is first taken to ring sites by the
+    :func:`mode_rings` transforms.  The modes are those of
+    ``sector_hamiltonian_dense``.  The result is sampled on ``(phi_p_axis,
+    grid.phi_q_half_axis)`` and an l2-unit ``vec`` comes out unit-normalised
+    under the quadrature weight ``h_p * grid.h_q_half`` (``phi_p_axis`` and
+    ``h_p`` of :func:`torus_axes`).
     """
     index = np.arange(2 * ((grid.n_p - 1) // 2) + 1)
     phase = np.outer(torus_axes(grid)[0], (index + 1) // 2)
     basis = np.where(index % 2 == 0, np.sin(phase), np.cos(phase)) / np.sqrt(np.pi)
     basis[:, 0] = 1.0 / np.sqrt(2.0 * np.pi)
-    return basis @ vec.reshape(index.size, grid.n_q_half) / np.sqrt(grid.h_q_half)
+    coeffs = vec.reshape(index.size, grid.n_q_half)
+    sites = np.array([ring @ row for ring, row in zip(mode_rings(grid, sector), coeffs)])
+    return basis @ sites / np.sqrt(grid.h_q_half)
 
 
-def position_element(grid, profile: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+def position_element(
+    grid, profile: np.ndarray, a: np.ndarray, b: np.ndarray, sector: str
+) -> float:
     """``<a| profile |b>`` by grid quadrature of the position samples of ``a`` and ``b``.
 
     ``profile`` is sampled on the same ``(phi_p, phi_q)`` meshgrid.  For a
@@ -125,7 +210,8 @@ def position_element(grid, profile: np.ndarray, a: np.ndarray, b: np.ndarray) ->
     even ``n_p``, and at odd ``n_p`` for a truncated solve.
     """
     weight = torus_axes(grid)[1] * grid.h_q_half
-    return float(np.sum(position_samples(grid, a) * profile * position_samples(grid, b)) * weight)
+    samples_a, samples_b = (position_samples(grid, v, sector) for v in (a, b))
+    return float(np.sum(samples_a * profile * samples_b) * weight)
 
 
 def dense_levels(matrix, k: int) -> np.ndarray:

@@ -18,7 +18,15 @@ from fluxmaser import (
 )
 
 from .conftest import random_operators
-from .oracles import dense_levels, sector_hamiltonian_dense, torus_axes, torus_hamiltonian
+from .oracles import (
+    dense_levels,
+    momentum_transform,
+    position_hamiltonian,
+    ring_transform,
+    sector_hamiltonian_dense,
+    torus_axes,
+    torus_hamiltonian,
+)
 
 finite_phase = st.floats(-8.0, 8.0, allow_nan=False)
 
@@ -122,7 +130,31 @@ def test_sector_operator_matches_entrywise_oracle(shape, sector):
     for f, f_s in ((0.5, 0.0), (0.493, 0.27), (0.213, -0.31)):
         p = CircuitParams(f=f, f_s=f_s)
         got = assemble_hamiltonian(p, grid, sector=sector).matrix.toarray()
-        assert np.max(np.abs(got - sector_hamiltonian_dense(p, grid, sector))) < 1e-12
+        q = momentum_transform(grid, sector)
+        assert np.max(np.abs(got - q.T @ sector_hamiltonian_dense(p, grid, sector) @ q)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [16, 17, 24, 25])
+@pytest.mark.parametrize("twisted", [False, True], ids=["untwisted", "twisted"])
+def test_ring_transforms_are_orthonormal(n, twisted):
+    q = ring_transform(n, twisted)
+    assert np.max(np.abs(q.T @ q - np.eye(n))) < 1e-13
+
+
+@pytest.mark.parametrize("sector", ["even", "odd"])
+@pytest.mark.parametrize("shape", [(16, 32), (17, 34)], ids=["16x32", "17x34"])
+def test_momentum_operators_are_the_transformed_position_assembly(shape, sector):
+    # 16x32 has an even ring (the untwisted ring owns the self-paired row),
+    # 17x34 an odd one (the twisted ring does)
+    grid = PhaseGrid(*shape)
+    q = momentum_transform(grid, sector)
+    for f, f_s in ((0.5, 0.0), (0.493, 0.27), (0.213, -0.31), (1.3, 0.5)):
+        p = CircuitParams(gamma=0.7, f=f, f_s=f_s)
+        op = assemble_hamiltonian(p, grid, sector=sector)
+        references = position_hamiltonian(p, grid, sector)
+        for name, reference in zip(("matrix", "current", "dh_dfs"), references):
+            got = getattr(op, name).toarray()
+            assert np.max(np.abs(got - q.T @ reference.toarray() @ q)) < 1e-13, (f, f_s, name)
 
 
 def test_lower_bound_below_ground_state():

@@ -1,5 +1,7 @@
 """Eigensolver contracts: ordering, orthonormality, determinism, sweeps."""
 
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -16,7 +18,7 @@ from fluxmaser import (
 from fluxmaser import spectrum
 
 from .conftest import PRODUCTION_GRID, random_operators
-from .oracles import dense_levels, full_basis_levels
+from .oracles import dense_levels, full_basis_levels, position_hamiltonian
 
 COARSE = PhaseGrid(41, 81)
 PRODUCTION = PhaseGrid(*PRODUCTION_GRID)
@@ -73,6 +75,7 @@ def test_repeat_solves_identical(grid):
     assert a.shift <= a.levels[0]
     assert a.solves > 0 and a.solves == b.solves
     assert a.harmonics == b.harmonics
+    assert a.momenta == b.momenta
     assert np.max(np.abs(a.levels - b.levels)) < 1e-12
     assert np.max(np.abs(a.states - b.states)) < 1e-12
 
@@ -108,17 +111,36 @@ def test_sweep_deterministic():
     assert np.max(np.abs(a - b)) < 1e-12
 
 
-# -- certified phi_p harmonic truncation -------------------------------------
+# -- certified phi_p harmonic and phi_q momentum truncation -------------------
 
 
-def _padded_residual(op, harmonics):
+def _padded_residual(op, harmonics, momenta=None):
     """Largest full-operator residual of the zero-padded block eigenvectors."""
-    vals, vecs, _ = spectrum._solve_block(op, 6, 0, harmonics)
+    momenta = op.momenta if momenta is None else momenta
+    vals, vecs, _ = spectrum._solve_block(op, 6, 0, harmonics, momenta)
     return max(np.linalg.norm(op.matrix @ vecs[:, i] - vals[i] * vecs[:, i]) for i in range(6))
 
 
 def _gate_bound(op):
-    return spectrum._residual_bound(spla.norm(op.matrix, np.inf))
+    return spectrum._residual_bound(op.scale)
+
+
+@pytest.mark.parametrize("grid", [COARSE, PRODUCTION], ids=["41x81", "81x161"])
+def test_gate_scale_is_the_position_basis_norm(grid, monkeypatch):
+    # the infinity norm is not basis-invariant: the gate must keep the scale
+    # of the position-basis operator it had before the change to momenta
+    seen, bound = [], spectrum._residual_bound
+
+    def recording_bound(scale):
+        seen.append(scale)
+        return bound(scale)
+
+    monkeypatch.setattr(spectrum, "_residual_bound", recording_bound)
+    for f, f_s in ((0.5, 0.0), (0.493, 0.27), (0.213, -0.31), (1.3, 0.5)):
+        params = CircuitParams(f=f, f_s=f_s)
+        lowest_eigenpairs(assemble_hamiltonian(params, grid), 4)
+        reference = spla.norm(position_hamiltonian(params, grid, "even")[0], np.inf)
+        assert seen[-1] == pytest.approx(reference, rel=1e-14, abs=0.0)
 
 
 def test_coarse_grid_keeps_every_harmonic(coarse_spec):
@@ -154,15 +176,49 @@ def test_low_start_widens_to_a_certified_cutoff(monkeypatch):
     assert np.max(np.abs(widened.levels - default.levels)) < 1e-12
 
 
+def test_low_momentum_start_widens_to_a_certified_cutoff(monkeypatch):
+    op = assemble_hamiltonian(CircuitParams(f=0.493, f_s=0.27), PRODUCTION)
+    default = lowest_eigenpairs(op, 6)
+    assert _padded_residual(op, default.harmonics, 8) > spectrum.TRUNCATION_TARGET * _gate_bound(op)
+    monkeypatch.setattr(spectrum, "_start_momenta", lambda params, grid: 4)
+    widened = lowest_eigenpairs(op, 6)
+    assert widened.momenta == 16  # 4 and 8 miss the target, 16 meets it
+    assert widened.harmonics == default.harmonics  # the miss lies in the dropped momenta only
+    assert widened.solves > default.solves
+    assert widened.residuals.max() <= spectrum.TRUNCATION_TARGET * _gate_bound(op)
+    assert np.max(np.abs(widened.levels - default.levels)) < 1e-12
+
+
+def test_momentum_cutoff_does_not_grow_with_n_q():
+    # the high phi_q momenta stay empty however fine the ring, so the solved
+    # block keeps its size and a finer grid costs about the same
+    params = CircuitParams(f=0.493, f_s=0.27)
+    kept, seconds = [], []
+    for grid in (PRODUCTION, PhaseGrid(81, 321)):
+        op = assemble_hamiltonian(params, grid)
+        runs = []
+        for _ in range(3):
+            start = time.process_time()
+            spec = lowest_eigenpairs(op, 6)
+            runs.append(time.process_time() - start)
+        kept.append((spec.harmonics, spec.momenta, op.block(spec.harmonics, spec.momenta)[1].size))
+        seconds.append(min(runs))
+        assert np.max(np.abs(spec.levels - full_basis_levels(op, 6))) < 1e-12
+    assert kept[1][1] <= kept[0][1]
+    assert kept[1][2] <= kept[0][2]
+    assert seconds[1] < 10 * seconds[0]  # the same order of magnitude
+
+
 @pytest.mark.parametrize("point", ["spec_resonant", "spec_offres", "spec_crossing"])
 def test_truncated_solve_matches_full_basis(point, request, monkeypatch):
     spec = request.getfixturevalue(point)
     op = assemble_hamiltonian(spec.params, PRODUCTION)
-    assert spec.harmonics < (PRODUCTION.n_p - 1) // 2
+    assert spec.harmonics < op.harmonics and spec.momenta < op.momenta
     assert np.max(np.abs(spec.levels - full_basis_levels(op, 6))) < 1e-12
     monkeypatch.setattr(spectrum, "_start_harmonics", lambda params: PRODUCTION.n_p)
+    monkeypatch.setattr(spectrum, "_start_momenta", lambda params, grid: PRODUCTION.n_q)
     full = lowest_eigenpairs(op, 6)
-    assert full.harmonics == (PRODUCTION.n_p - 1) // 2
+    assert (full.harmonics, full.momenta) == (op.harmonics, op.momenta)
     # parity-forbidden amplitudes are round-off on both sides, hence the
     # absolute floor far below any physical amplitude
     for i, j in ((0, 1), (0, 2), (1, 2)):

@@ -108,9 +108,9 @@ def _screening_derivative(params, pp, qq):
 
 def _spectral_cases(request):
     for name in ("spec_resonant", "spec_offres", "spec_crossing"):
-        yield name, PRODUCTION, request.getfixturevalue(name)
+        yield name, PRODUCTION, "even", request.getfixturevalue(name)
     for label, grid, op in random_operators():
-        yield label, grid, lowest_eigenpairs(op, 6)
+        yield label, grid, op.sector, lowest_eigenpairs(op, 6)
 
 
 def test_elements_match_position_quadrature(request):
@@ -118,26 +118,27 @@ def test_elements_match_position_quadrature(request):
     # samples of the same states, quadratured against the current profile
     # and the potential's flux derivative, must give the same numbers
     rotated = 0
-    for label, grid, spec in _spectral_cases(request):
+    for label, grid, sector, spec in _spectral_cases(request):
         pp, qq = np.meshgrid(torus_axes(grid)[0], grid.phi_q_half_axis, indexing="ij")
         current = circulating_current(spec.params, pp, qq)
         d_u = _screening_derivative(spec.params, pp, qq)
         for i, j in itertools.combinations(range(spec.k), 2):
             a, b = spec.states[i], spec.states[j]
-            quad = abs(position_element(grid, current, a, b))
+            quad = abs(position_element(grid, current, a, b, sector))
             assert abs(transition_element(spec, i, j) - quad) < 1e-12, f"{label}: t_{i}{j}"
             try:
                 numerator = adiabatic_k(spec, i, j) * spec.gap(i, j) ** 2 * spec.params.ej_freq
             except DegenerateGapError:
                 continue
-            quad = abs(position_element(grid, d_u, a, b))
+            quad = abs(position_element(grid, d_u, a, b, sector))
             assert abs(numerator - quad) < 1e-12, f"{label}: K_{i}{j}"
         for group in spectrum._degenerate_groups(spec.levels):
             if len(group) == 1:
                 continue
             rotated += 1
             block = np.array(
-                [[-position_element(grid, current, spec.states[a], spec.states[b]) for b in group]
+                [[-position_element(grid, current, spec.states[a], spec.states[b], sector)
+                  for b in group]
                  for a in group]
             )
             assert np.max(np.abs(block - np.diag(np.diag(block)))) < 1e-12, f"{label}: {group}"
@@ -232,4 +233,5 @@ def test_point_record_keeps_solver_diagnostics():
     assert rec.shift == spec.shift
     assert rec.solves == spec.solves > 0
     assert rec.harmonics == spec.harmonics == (COARSE.n_p - 1) // 2
+    assert rec.momenta == spec.momenta
     assert rec.max_residual == spec.residuals.max()
