@@ -216,8 +216,9 @@ class _FixedParts:
     kind.  So ``values`` holds every entry of the pattern ``(cols,
     indptr)`` once, and ``tags`` says which part it belongs to (0, 1, 2);
     an operator builds the loop current ``(sin(pi f) C - cos(pi f) S)/2`` on
-    the same pattern.  Principal blocks of kept cutoffs are cut once and kept.  Every
-    array is read-only, since the operators of all points share them.
+    the same pattern.  The band layouts of the principal blocks of kept
+    cutoffs are worked out once and kept.  Every array is read-only, since
+    the operators of all points share them.
     """
 
     def __init__(self, params: CircuitParams, grid: PhaseGrid, sector: str) -> None:
@@ -232,6 +233,10 @@ class _FixedParts:
         flat = np.where(twisted[:, None], _ring_momenta(n, True), _ring_momenta(n, False))
         self.row_harmonic = np.repeat(ms, n)
         self.row_momentum = flat.ravel() / 2.0
+        # chain order: the cosine chain (the constant mode and cos(m phi_p), index
+        # 0, 1, 3, ...), then the sine chain (index 2, 4, ...), momentum fastest
+        chain_modes = np.r_[0, 1:n_modes:2, 2:n_modes:2]
+        self.chain = (chain_modes[:, None] * n + np.arange(n)).ravel()
 
         # cos(phi_p) links each mode to the next harmonic of its kind (index a to
         # a + 2), and the constant mode to cos(phi_p) at index 1
@@ -288,7 +293,8 @@ class _FixedParts:
         d_u = -2.0 * math.pi * params.gamma * math.sin(math.pi * params.f_s)
         self.dh_dfs = d_u * squid
         _read_only(self.cols, self.indptr, self.values, self.tags, self.row_harmonic,
-                   self.row_momentum, self.dh_dfs.data, self.dh_dfs.indices, self.dh_dfs.indptr)
+                   self.row_momentum, self.chain, self.dh_dfs.data, self.dh_dfs.indices,
+                   self.dh_dfs.indptr)
 
         # position-basis pieces of the spectral floor and of the gate's scale
         self.phi_q = grid.phi_q_half_axis
@@ -300,21 +306,30 @@ class _FixedParts:
         self.blocks: dict[tuple[int, int], tuple] = {}
 
     def block(self, harmonics: int, momenta: int) -> tuple:
-        """Kept rows and pattern of the block ``m <= harmonics``, ``|kappa| <= momenta``."""
+        """Band layout of the block ``m <= harmonics``, ``|kappa| <= momenta``.
+
+        The kept rows run in chain order.  The ladder links a mode only to the
+        next mode of its chain and the ``phi_q`` terms shift the momentum by
+        at most 1, so no entry joins the two chains and every entry lies
+        within one mode's rows plus 2 of the diagonal.  Returns the kept rows,
+        the half-bandwidth ``kd`` and, for each entry on or above the
+        diagonal, its slot in the row-major ``(rows, kd + 1)`` array whose
+        transpose is LAPACK's upper band storage, its value and its tag.
+        """
         key = (harmonics, momenta)
         if key not in self.blocks:
             keep = (self.row_harmonic <= harmonics) & (self.row_momentum <= momenta)
-            renumber = np.cumsum(keep) - 1
+            kept = self.chain[keep[self.chain]]
+            position = np.zeros(self.dim, dtype=np.intp)
+            position[kept] = np.arange(kept.size)
             rows = _entry_rows(self.indptr)
             inside = keep[rows] & keep[self.cols]
-            kept = np.flatnonzero(keep)
-            self.blocks[key] = _read_only(
-                kept,
-                renumber[self.cols[inside]].astype(np.int32),
-                _indptr(renumber[rows[inside]], kept.size),
-                self.values[inside],
-                self.tags[inside],
-            )
+            i, j = position[rows[inside]], position[self.cols[inside]]
+            upper = i <= j
+            i, j = i[upper], j[upper]
+            kd = int(np.max(j - i))
+            values, tags = self.values[inside][upper], self.tags[inside][upper]
+            self.blocks[key] = (kd, *_read_only(kept, j * (kd + 1) + kd + i - j, values, tags))
         return self.blocks[key]
 
 
@@ -404,14 +419,21 @@ class HamiltonianOperator:
     def row_momentum(self) -> np.ndarray:
         return self.parts.row_momentum
 
-    def block(self, harmonics: int, momenta: int) -> tuple[sp.csr_matrix, np.ndarray]:
+    def block(self, harmonics: int, momenta: int) -> tuple[np.ndarray, np.ndarray]:
         """Principal block of the rows with ``m <= harmonics`` and ``|kappa| <= momenta``.
 
-        Returns the block and the indices of its rows in the full basis.
+        Returns the block in LAPACK's upper band storage, a Fortran-ordered
+        ``(kd + 1, rows)`` array whose entry ``(kd + i - j, j)`` is the
+        block's ``(i, j)``, and the indices of its rows in the full basis.
+        The rows run in chain order: the cosine chain of ``phi_p`` modes (the
+        constant mode, then ``cos(m phi_p)``), then the sine chain, mode by
+        mode with momentum fastest.  No entry joins the two chains, and
+        ``kd`` is at most one mode's rows plus 2.
         """
-        kept, cols, indptr, values, tags = self.parts.block(harmonics, momenta)
-        data = values * _part_weights(self.params.f)[tags]
-        return sp.csr_matrix((data, cols, indptr), shape=(kept.size, kept.size)), kept
+        kd, kept, slots, values, tags = self.parts.block(harmonics, momenta)
+        band = np.zeros((kept.size, kd + 1))
+        band.ravel()[slots] = values * _part_weights(self.params.f)[tags]
+        return band.T, kept
 
 
 def assemble_hamiltonian(

@@ -6,7 +6,8 @@ class ConfigError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An eigensolve finished but residuals exceed the accepted bound."""
+    """An eigensolve failed: its residuals exceed the accepted bound, ARPACK did
+    not converge, or the shifted block it factors is not positive definite."""
 
 
 class DegenerateGapError(RuntimeError):

@@ -6,9 +6,15 @@ Every solve is shift-invert Lanczos (ARPACK through
 so the eigenvalues nearest it are exactly the lowest ones, and it lies close
 enough to them that the transformed spectrum separates well (the
 spectral-transformation Lanczos method of Ericsson & Ruhe, Math. Comp. 35,
-1251 (1980)).  ``H - sigma I`` is factorised once with a symmetric fill
-ordering.  The start vector is deterministically seeded, so repeated calls
-give bit-identical results.  A residual gate rejects unconverged eigenpairs.
+1251 (1980)).  Below the spectrum ``H - sigma I`` is positive definite, and
+in the chain order of ``HamiltonianOperator.block`` the solved block is a
+band of half-width one ``phi_p`` mode's rows plus 2, so it is factorised
+once by a banded Cholesky (LAPACK ``dpbtrf``, O(n kd^2) without pivoting;
+Golub & Van Loan, *Matrix Computations*, section 4.3) and each Lanczos
+step is one banded solve (``dpbtrs``).  A factor that fails, a shift not
+below the block's spectrum, raises ``ConvergenceError``.  The start vector
+is deterministically seeded, so repeated calls give bit-identical results.
+A residual gate rejects unconverged eigenpairs.
 
 The low states use only the first few ``phi_p`` harmonics and ``phi_q``
 momenta, so the solve keeps harmonics ``m <= M`` and momenta
@@ -38,6 +44,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import blas, lapack
 
 from .circuit import CircuitParams, HamiltonianOperator, PhaseGrid
 from .errors import ConvergenceError
@@ -161,21 +168,35 @@ def _solve_block(
     Returns ascending levels, the eigenvectors padded with zeros to the full
     operator's dimension, and the number of factorised solves.
     """
-    matrix, rows = op.block(harmonics, momenta)
-    n = rows.size
+    band, rows = op.block(harmonics, momenta)
+    n, kd = rows.size, band.shape[0] - 1
     shift = op.lower_bound
-    lu = spla.splu((matrix - shift * sp.identity(n)).tocsc(), permc_spec="MMD_AT_PLUS_A")
+    shifted = band.copy(order="F")
+    shifted[kd] -= shift
+    factor, info = lapack.dpbtrf(shifted, overwrite_ab=1)
+    if info:
+        # the floor lies below the block's spectrum, so this means a broken shift
+        raise ConvergenceError(
+            f"H - {shift:.6g} I is not positive definite (Cholesky pivot {info} of {n})"
+        )
     solves = 0
 
     def solve(rhs: np.ndarray) -> np.ndarray:
         nonlocal solves
         solves += 1
-        return lu.solve(rhs)
+        return lapack.dpbtrs(factor, rhs)[0]
 
+    # with OPinv given, shift-invert eigsh reads the block only for its shape and dtype
+    block = spla.LinearOperator(
+        (n, n), matvec=lambda x: blas.dsbmv(kd, 1.0, band, x), dtype=np.float64
+    )
     opinv = spla.LinearOperator((n, n), matvec=solve, dtype=np.float64)
-    v0 = _seeded_start(n, seed)
+    # the start vector is drawn over the kept rows in basis order, so the solve
+    # does not depend on the factor's row order
+    v0 = np.empty(n)
+    v0[np.argsort(rows)] = _seeded_start(n, seed)
     try:
-        vals, vecs = spla.eigsh(matrix, k=k, sigma=shift, which="LM", v0=v0, tol=0, OPinv=opinv)
+        vals, vecs = spla.eigsh(block, k=k, sigma=shift, which="LM", v0=v0, tol=0, OPinv=opinv)
     except spla.ArpackNoConvergence as exc:
         # ARPACK's exception cannot be unpickled, so a sweep worker could
         # not hand it back as a failed point

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 from fluxmaser import (
     CircuitParams,
@@ -155,6 +158,50 @@ def test_momentum_operators_are_the_transformed_position_assembly(shape, sector)
         for name, reference in zip(("matrix", "current", "dh_dfs"), references):
             got = getattr(op, name).toarray()
             assert np.max(np.abs(got - q.T @ reference.toarray() @ q)) < 1e-13, (f, f_s, name)
+
+
+def _band_to_dense(band):
+    """Symmetric matrix held in LAPACK's upper band storage ``(kd + 1, n)``."""
+    kd, n = band.shape[0] - 1, band.shape[1]
+    upper = np.zeros((n, n))
+    for d in range(kd + 1):
+        upper[np.arange(n - d), np.arange(d, n)] = band[kd - d, d:]
+    return upper + np.triu(upper, 1).T
+
+
+@pytest.mark.parametrize("cut", ["truncated", "full"])
+@pytest.mark.parametrize("sector", ["even", "odd"])
+@pytest.mark.parametrize("shape", [(16, 32), (17, 34)], ids=["16x32", "17x34"])
+def test_block_is_a_band_in_chain_order(shape, sector, cut):
+    grid = PhaseGrid(*shape)
+    op = assemble_hamiltonian(CircuitParams(f=0.47, f_s=0.22), grid, sector=sector)
+    harmonics, momenta = (4, 3) if cut == "truncated" else (op.harmonics, op.momenta)
+    band, rows = op.block(harmonics, momenta)
+    keep = (op.row_harmonic <= harmonics) & (op.row_momentum <= momenta)
+    assert np.array_equal(np.sort(rows), np.flatnonzero(keep))
+    # the CSR block is built here only, to check the band against it
+    block = op.matrix[rows][:, rows]
+    assert np.array_equal(_band_to_dense(band), block.toarray())
+
+    # chain order: the cosine chain (mode index 0, 1, 3, ...) before the sine
+    # chain (2, 4, ...), and no entry between the two
+    modes = rows // grid.n_q_half
+    sine = (modes > 0) & (modes % 2 == 0)
+    assert np.all(np.diff(sine.astype(int)) >= 0)
+    entries = block.tocoo()
+    assert not np.any(sine[entries.row] != sine[entries.col])
+    kd = band.shape[0] - 1
+    assert kd <= np.bincount(modes).max() + 2
+
+    shift = op.lower_bound
+    shifted = band.copy(order="F")
+    shifted[kd] -= shift
+    factor, info = lapack.dpbtrf(shifted)
+    assert info == 0
+    rhs = np.random.default_rng(5).standard_normal(rows.size)
+    got = lapack.dpbtrs(factor, rhs)[0]
+    reference = spla.spsolve((block - shift * sp.identity(rows.size)).tocsc(), rhs)
+    assert np.linalg.norm(got - reference) <= 1e-12 * np.linalg.norm(reference)
 
 
 def test_lower_bound_below_ground_state():

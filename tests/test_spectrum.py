@@ -1,5 +1,6 @@
 """Eigensolver contracts: ordering, orthonormality, determinism, sweeps."""
 
+import dataclasses
 import time
 
 import numpy as np
@@ -16,6 +17,7 @@ from fluxmaser import (
     transition_element,
 )
 from fluxmaser import spectrum
+from fluxmaser.errors import ConvergenceError
 
 from .conftest import PRODUCTION_GRID, random_operators
 from .oracles import dense_levels, full_basis_levels, position_hamiltonian
@@ -78,6 +80,17 @@ def test_repeat_solves_identical(grid):
     assert a.momenta == b.momenta
     assert np.max(np.abs(a.levels - b.levels)) < 1e-12
     assert np.max(np.abs(a.states - b.states)) < 1e-12
+
+
+def test_shift_above_the_ground_state_fails_the_factor(coarse_spec):
+    # H - shift I is indefinite once the shift passes a level: the solve must
+    # raise, a RuntimeError that a sweep logs as a failed point, and never
+    # return a spectrum
+    op = assemble_hamiltonian(coarse_spec.params, COARSE)
+    broken = dataclasses.replace(op, lower_bound=float(coarse_spec.levels[1]))
+    with pytest.raises(ConvergenceError, match="not positive definite") as failure:
+        lowest_eigenpairs(broken, 4)
+    assert isinstance(failure.value, RuntimeError)
 
 
 def test_gap_at_operating_point(spec_resonant):
