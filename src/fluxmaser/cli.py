@@ -105,7 +105,10 @@ def _write_csv(path: str, comments: list[str], header: list[str], rows: list[lis
 
 
 def _resolve_workers(flag: int | None) -> int:
+    """``flag``, or by default the number of CPUs this process may run on."""
     if flag is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     if flag < 1:
         raise ConfigError(f"--workers must be >= 1, got {flag}")
@@ -151,20 +154,42 @@ def _one_blas_thread():
                 os.environ[name] = value
 
 
+def _start_method() -> str:
+    """``"fork"`` if this process runs exactly one OS thread, else ``"spawn"``.
+
+    The threads are counted in ``/proc/self/task``; where that cannot be
+    read, the answer is ``"spawn"``.
+    """
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:
+        return "spawn"
+    return "fork" if threads == 1 else "spawn"
+
+
 def _parallel_map(func, tasks, workers: int) -> list:
     """The :func:`_outcome` of ``func`` on each task, in task order.
 
-    ``workers - 1`` spawned processes take tasks from the front while this
-    process solves, from the back, every task no worker has started.  BLAS
-    reads its thread count when it loads, so the workers are spawned with
-    one BLAS thread each.  If an exception propagates, no pending task is
-    started.
+    ``workers - 1`` worker processes take tasks from the front while this
+    process solves, from the back, every task no worker has started.  If an
+    exception propagates, no pending task is started.
+
+    The workers are forked when this process runs one OS thread, and spawned
+    otherwise.  A forked worker inherits every loaded module, so it solves at
+    once and exits without interpreter teardown.  The hazard of ``fork`` is a
+    lock held by another thread, and a one-thread process has none: BLAS at
+    one thread (the spectral commands' default) starts no helper thread,
+    and the pool forks all its workers before it starts its manager thread.
+    A process with more threads (BLAS helpers at a caller's higher setting,
+    pytest) spawns its workers, with the BLAS thread variables set to 1,
+    since BLAS reads its thread count when it loads.
     """
     if workers <= 1 or len(tasks) <= 1:
         return [_outcome(partial(func, task)) for task in tasks]
-    pool = ProcessPoolExecutor(min(workers, len(tasks)) - 1, mp_context=get_context("spawn"))
+    context = get_context(_start_method())
+    pool = ProcessPoolExecutor(min(workers, len(tasks)) - 1, mp_context=context)
     try:
-        with _one_blas_thread():  # the pool spawns its workers as tasks are submitted
+        with _one_blas_thread():  # the pool starts its workers as tasks are submitted
             futures = [pool.submit(func, task) for task in tasks]
         results = [None] * len(tasks)
         for i in reversed(range(len(tasks))):

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -97,10 +98,17 @@ class EigenSpectrum:
         return float(self.levels[j] - self.levels[i])
 
 
+@lru_cache(maxsize=16)
 def _seeded_start(dim: int, seed: int) -> np.ndarray:
-    rng = np.random.RandomState(seed)
-    v0 = rng.standard_normal(dim)
-    return v0 / np.linalg.norm(v0)
+    """The normalised ``RandomState(seed)`` normal draw of length ``dim``, read-only.
+
+    A sweep solves blocks of a few sizes at one seed, so each draw is made
+    once; building the generator is most of its cost.
+    """
+    v0 = np.random.RandomState(seed).standard_normal(dim)
+    v0 /= np.linalg.norm(v0)
+    v0.flags.writeable = False
+    return v0
 
 
 def _degenerate_groups(levels: np.ndarray) -> list[list[int]]:

@@ -1,11 +1,13 @@
 """Run configuration parsing and the batch CLI."""
 
 import csv
+import json
 import math
 import os
 import re
 import subprocess
 import sys
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -171,9 +173,14 @@ def test_readme_run_yaml_loads(tmp_path):
 # -- worker resolution ------------------------------------------------------
 
 
+# set in this process after import: a forked worker sees it, a spawned one
+# imports this module afresh and does not
+_PARENT_MARK = None
+
+
 def _thread_env(index):
     time.sleep(0.05)  # long enough for the pool to hand some tasks to its worker
-    return index, os.getpid(), [os.environ.get(name) for name in BLAS_THREAD_ENV]
+    return index, os.getpid(), [os.environ.get(name) for name in BLAS_THREAD_ENV], _PARENT_MARK
 
 
 @pytest.mark.parametrize("preset", ["3", None], ids=["preset", "absent"])
@@ -182,18 +189,87 @@ def test_pool_workers_see_one_blas_thread(monkeypatch, preset):
         monkeypatch.delenv(name, raising=False)
     if preset is not None:
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+    monkeypatch.setattr(sys.modules[__name__], "_PARENT_MARK", "parent")
     before = dict(os.environ)
     tasks = list(range(8))
-    results = _parallel_map(_thread_env, tasks, workers=2)
+    # a second thread makes this a multi-threaded parent whatever BLAS runs
+    stop = threading.Event()
+    holder = threading.Thread(target=stop.wait)
+    holder.start()
+    try:
+        results = _parallel_map(_thread_env, tasks, workers=2)
+    finally:
+        stop.set()
+        holder.join()
     # results come back in task order, whichever process solved each task
-    assert [index for index, _, _ in results] == tasks
-    # the parent solves tasks too; every task a spawned worker solved saw one thread
-    spawned = [env for _, pid, env in results if pid != os.getpid()]
-    assert spawned
-    assert all(env == ["1"] * 3 for env in spawned)
+    assert [index for index, *_ in results] == tasks
+    # the parent solves tasks too; every task a worker solved ran in a spawned
+    # process that saw one thread
+    workers = [(env, mark) for _, pid, env, mark in results if pid != os.getpid()]
+    assert workers
+    assert all(env == ["1"] * 3 and mark is None for env, mark in workers)
     # the parent's environment comes back exactly, absent variables included
     assert dict(os.environ) == before
     assert os.environ.get("OPENBLAS_NUM_THREADS") == preset
+
+
+POOL_PROBE = """\
+import os
+import time
+
+MARK = None
+
+
+def task(index):
+    time.sleep(0.05)  # long enough for the pool to hand some tasks to its worker
+    return index, os.getpid(), MARK
+"""
+
+POOL_RUN = """\
+import json, os, sys
+import fluxmaser.cli as cli
+import pool_probe
+
+pool_probe.MARK = "parent"
+results = cli._parallel_map(pool_probe.task, list(range(8)), 2)
+code = cli.main(["sweep", "--config", sys.argv[1], "--out", sys.argv[2], "--workers", "2"])
+print(json.dumps({"pid": os.getpid(), "results": results, "code": code}))
+"""
+
+
+@pytest.mark.parametrize(
+    "env, forked",
+    [(dict.fromkeys(BLAS_THREAD_ENV, "1"), True), ({"OPENBLAS_NUM_THREADS": "2"}, False)],
+    ids=["one-thread-forks", "callers-two-threads-spawn"],
+)
+def test_pool_start_method_follows_the_thread_count(tiny_config, tmp_path, env, forked):
+    # one BLAS thread leaves the process one OS thread, so its workers are
+    # forked and see what the parent set after import; at two BLAS threads the
+    # helper thread makes fork unsafe, so they are spawned, with no warning
+    (tmp_path / "pool_probe.py").write_text(POOL_PROBE)
+    src = str(Path(fluxmaser.__file__).resolve().parents[1])
+    clean = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_ENV}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", POOL_RUN, str(tiny_config), str(tmp_path / "out")],
+        env={**clean, **env, "PYTHONPATH": os.pathsep.join([src, str(tmp_path)])},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0 and not proc.stderr, proc.stderr
+    run = json.loads(proc.stdout)
+    assert run["code"] == 0
+    assert [index for index, *_ in run["results"]] == list(range(8))
+    marks = [mark for _, pid, mark in run["results"] if pid != run["pid"]]
+    assert marks
+    assert marks == ["parent" if forked else None] * len(marks)
+
+
+def test_default_workers_are_the_usable_cpus(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert cli._resolve_workers(None) == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._resolve_workers(None) == 64
+    assert cli._resolve_workers(2) == 2
 
 
 def test_nonpositive_workers_flag_exits_one(tiny_config, tmp_path, capsys):

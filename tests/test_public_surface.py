@@ -82,3 +82,15 @@ def test_cli_import_after_numpy_sets_nothing():
     # change only the subprocesses started later
     code = "import numpy\n" + READ_THREAD_ENV
     assert _fresh_python(code, "sweep") == "[None, None, None]\n"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="threads are counted in /proc")
+@pytest.mark.parametrize("command", ["fig2", "fig3", "sweep"])
+def test_spectral_cli_import_leaves_one_thread(command):
+    # a one-thread process forks its sweep workers: an import that starts a
+    # thread would fail here rather than silently send every pool back to spawn
+    code = (
+        "import os, fluxmaser.cli as cli\n"
+        "print(len(os.listdir('/proc/self/task')), cli._start_method())"
+    )
+    assert _fresh_python(code, command, "--workers", "2") == "1 fork\n"

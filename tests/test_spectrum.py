@@ -82,6 +82,18 @@ def test_repeat_solves_identical(grid):
     assert np.max(np.abs(a.states - b.states)) < 1e-12
 
 
+@pytest.mark.parametrize("dim, seed", [(1415, 0), (1497, 2**32 - 1)])
+def test_cached_start_is_the_seeded_draw(dim, seed):
+    # the cache must not move a bit of the start vector, or the CSVs' round-off
+    # cells move with it
+    fresh = np.random.RandomState(seed).standard_normal(dim)
+    fresh = fresh / np.linalg.norm(fresh)
+    first = spectrum._seeded_start(dim, seed)
+    assert first.tobytes() == fresh.tobytes()
+    assert spectrum._seeded_start(dim, seed) is first
+    assert not first.flags.writeable
+
+
 def test_shift_above_the_ground_state_fails_the_factor(coarse_spec):
     # H - shift I is indefinite once the shift passes a level: the solve must
     # raise, a RuntimeError that a sweep logs as a failed point, and never
