@@ -26,19 +26,14 @@ _EXPORTS = {
     "assemble_hamiltonian": "circuit",
     "potential": "circuit",
     "circulating_current": "circuit",
-    "effective_alpha": "circuit",
     "EigenSpectrum": "spectrum",
     "lowest_eigenpairs": "spectrum",
     "PointRecord": "transitions",
     "point_record": "transitions",
     "transition_element": "transitions",
     "adiabatic_k": "transitions",
-    "adiabatic_rate_check": "transitions",
-    "pumping_feasibility": "transitions",
-    "relative_relaxation": "transitions",
     "MaserConfig": "maser",
     "PhotonDistribution": "maser",
-    "rabi_s": "maser",
     "steady_state_sqc": "maser",
     "steady_state_atomic": "maser",
     "distribution_moments": "maser",

@@ -43,7 +43,6 @@ __all__ = [
     "CircuitParams",
     "PhaseGrid",
     "HamiltonianOperator",
-    "effective_alpha",
     "potential",
     "circulating_current",
     "assemble_hamiltonian",
@@ -132,11 +131,6 @@ class PhaseGrid:
     @property
     def phi_q_half_axis(self) -> np.ndarray:
         return -math.pi + self.h_q_half * np.arange(self.n_q_half)
-
-
-def effective_alpha(gamma: float, f_s: float) -> float:
-    """Flux-tunable effective junction strength ``alpha = 2*gamma*cos(pi*f_s)``."""
-    return 2.0 * gamma * math.cos(math.pi * f_s)
 
 
 def potential(params: CircuitParams, phi_p, phi_q):

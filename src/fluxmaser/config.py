@@ -2,9 +2,10 @@
 
 Every field has a default, so an empty (or absent) file is a valid run.
 Unknown keys anywhere are rejected outright — silent typos in sweep configs
-waste cluster hours.  Each number field declares its rule beside its
-default (:func:`_rule`); every block checks all of them when it is built,
-and a block's own ``__post_init__`` adds only checks that span fields.
+waste cluster hours — and so is a key given twice in one mapping.  Each
+number field declares its rule beside its default (:func:`_rule`); every
+block checks all of them when it is built, and a block's own
+``__post_init__`` adds only checks that span fields.
 """
 
 from __future__ import annotations
@@ -234,13 +235,42 @@ def _build_block(cls, data: dict, path: str):
     })
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """A safe loader that rejects a mapping key given twice, at any depth,
+    where the plain one silently keeps the last value."""
+
+    def construct_document(self, node):
+        self._check_keys(node, "", set())
+        return super().construct_document(node)
+
+    def _check_keys(self, node, path: str, visited: set) -> None:
+        # an alias may point back into its own anchor, so visit each node once
+        if id(node) in visited:
+            return
+        visited.add(id(node))
+        if isinstance(node, yaml.SequenceNode):
+            for i, item in enumerate(node.value):
+                self._check_keys(item, f"{path}[{i}]", visited)
+        elif isinstance(node, yaml.MappingNode):
+            seen = set()
+            for key_node, value_node in node.value:
+                # a non-scalar key is unhashable; the constructor rejects it
+                scalar = isinstance(key_node, yaml.ScalarNode)
+                key = self.construct_object(key_node) if scalar else key_node
+                where = f"{path}.{key}" if path else str(key)
+                if key in seen:
+                    raise ConfigError(f"{where}: duplicate key")
+                seen.add(key)
+                self._check_keys(value_node, where, visited)
+
+
 def load_config(path: str | None = None) -> RunConfig:
     """Load and validate a YAML run configuration (all-defaults when None)."""
     if path is None:
         return RunConfig()
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            raw = yaml.safe_load(handle)
+            raw = yaml.load(handle, Loader=_UniqueKeyLoader)
         except yaml.YAMLError as exc:
             raise ConfigError(f"cannot parse {path}: {exc}") from exc
     if raw is None:

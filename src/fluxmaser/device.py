@@ -15,14 +15,6 @@ from dataclasses import dataclass
 __all__ = [
     "CavityParams",
     "DeviceReport",
-    "cavity_frequency",
-    "wavelength",
-    "vacuum_flux_ratio",
-    "coupling_rate",
-    "interaction_time",
-    "photon_lifetime",
-    "inductance_check",
-    "sigma_z_term_estimate",
     "device_report",
     "format_device_report",
 ]
@@ -54,81 +46,6 @@ class CavityParams:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
-
-
-def cavity_frequency(gap_over_ej: float, ej_freq: float) -> float:
-    """Photon frequency (GHz) resonant with a circuit gap given in E_J units."""
-    if ej_freq <= 0:
-        raise ValueError(f"ej_freq must be positive, got {ej_freq}")
-    return gap_over_ej * ej_freq
-
-
-def wavelength(nu_ghz: float) -> float:
-    """Free-space wavelength in metres for a frequency in GHz."""
-    return SPEED_OF_LIGHT / (nu_ghz * 1e9)
-
-
-def vacuum_flux_ratio(cavity: CavityParams, nu_ghz: float) -> float:
-    """Vacuum microwave flux through the SQUID loop in units of Phi_0.
-
-    The zero-point magnetic field amplitude of a plate cavity of volume
-    ``A * h_cav`` is ``sqrt(h nu / (eps_0 c^2 A h_cav))``; threading the
-    SQUID area and dividing by the flux quantum gives the dimensionless
-    drive amplitude.  Linear in the SQUID area, inverse-square-root in the
-    cavity cross-section.
-    """
-    nu = nu_ghz * 1e9
-    b_field = math.sqrt(h * nu / (epsilon_0 * SPEED_OF_LIGHT**2 * cavity.area * cavity.height))
-    return b_field * cavity.squid_area / FLUX_QUANTUM
-
-
-def coupling_rate(t_01: float, phi_ratio: float, ej_freq: float) -> float:
-    """Emitter-cavity coupling g in rad/s.
-
-    ``g = t_01 * (2 pi E_J / hbar) * (Phi_w0/Phi_0)``; with E_J = h * ej_freq
-    this is ``t_01 * (2 pi)^2 * ej_freq * phi_ratio``.
-    """
-    return t_01 * (2.0 * math.pi) ** 2 * (ej_freq * 1e9) * phi_ratio
-
-
-def interaction_time(g_rad_s: float, n_t: float = 1.0, phase: float = 1.4 * math.pi) -> float:
-    """Transit time (s) that accumulates the target Rabi phase g*tau*sqrt(n_t)."""
-    return phase / (g_rad_s * math.sqrt(n_t))
-
-
-def photon_lifetime(nu_ghz: float, quality: float) -> float:
-    """Cavity energy decay time ``Q / (2 pi nu)`` in seconds."""
-    return quality / (2.0 * math.pi * nu_ghz * 1e9)
-
-
-@dataclass(frozen=True)
-class InductanceReport:
-    i_c: float
-    l_j: float
-    l_loop: float
-
-
-def inductance_check(ej_freq: float, beta_l: float) -> InductanceReport:
-    """Critical current and loop inductance consistency numbers.
-
-    ``I_c = 2 pi E_J / Phi_0``; ``L_J = Phi_0 / (2 pi I_c)``; the loop
-    inductance is ``beta_L * L_J``.  Small ``beta_L`` justifies dropping the
-    loop-inductance term from the circuit Hamiltonian.
-    """
-    e_j = h * ej_freq * 1e9
-    i_c = 2.0 * math.pi * e_j / FLUX_QUANTUM
-    l_j = FLUX_QUANTUM / (2.0 * math.pi * i_c)
-    return InductanceReport(i_c=i_c, l_j=l_j, l_loop=beta_l * l_j)
-
-
-def sigma_z_term_estimate(phi_ratio: float) -> float:
-    """Magnitude of the drive's diagonal (dephasing-like) term, in E_J units.
-
-    The microwave flux also shifts the working levels themselves by about
-    ``pi * (Phi_w0/Phi_0) * E_J``; compare against the working gap to judge
-    whether the off-diagonal coupling dominates.
-    """
-    return math.pi * phi_ratio
 
 
 @dataclass(frozen=True)
@@ -171,23 +88,34 @@ def device_report(
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, got {value}")
     cavity = cavity or CavityParams()
-    nu = cavity_frequency(gap_over_ej, ej_freq)
-    phi_ratio = vacuum_flux_ratio(cavity, nu)
-    g = coupling_rate(t_01, phi_ratio, ej_freq)
-    tau = interaction_time(g, n_t=n_t, phase=interaction_phase)
-    inductance = inductance_check(ej_freq, beta_l)
-    sigma_z = sigma_z_term_estimate(phi_ratio)
+    nu = gap_over_ej * ej_freq
+    # zero-point field of a plate cavity of volume A * h_cav, threaded through
+    # the SQUID loop: linear in its area, inverse-square-root in A
+    b_field = math.sqrt(
+        h * (nu * 1e9) / (epsilon_0 * SPEED_OF_LIGHT**2 * cavity.area * cavity.height)
+    )
+    phi_ratio = b_field * cavity.squid_area / FLUX_QUANTUM
+    # g = t_01 (2 pi E_J / hbar) (Phi_w0/Phi_0) with E_J = h * ej_freq
+    g = t_01 * (2.0 * math.pi) ** 2 * (ej_freq * 1e9) * phi_ratio
+    # the transit that accumulates the Rabi phase g tau sqrt(n_t)
+    tau = interaction_phase / (g * math.sqrt(n_t))
+    # I_c = 2 pi E_J / Phi_0; a small beta_L justifies dropping the loop
+    # inductance from the circuit Hamiltonian
+    i_c = 2.0 * math.pi * (h * ej_freq * 1e9) / FLUX_QUANTUM
+    l_j = FLUX_QUANTUM / (2.0 * math.pi * i_c)
+    # the drive also shifts the working levels by about pi (Phi_w0/Phi_0) E_J
+    sigma_z = math.pi * phi_ratio
     return DeviceReport(
         nu_ghz=nu,
-        wavelength_m=wavelength(nu),
+        wavelength_m=SPEED_OF_LIGHT / (nu * 1e9),
         phi_ratio=phi_ratio,
         g_rad_s=g,
         g_mhz=g / 1e6,
         tau_interaction_ns=tau * 1e9,
-        tau_photon_s=photon_lifetime(nu, cavity.quality),
-        i_c=inductance.i_c,
-        l_j=inductance.l_j,
-        l_loop=inductance.l_loop,
+        tau_photon_s=cavity.quality / (2.0 * math.pi * nu * 1e9),
+        i_c=i_c,
+        l_j=l_j,
+        l_loop=beta_l * l_j,
         beta_l=beta_l,
         sigma_z_over_ej=sigma_z,
         sigma_z_over_gap=sigma_z / gap_over_ej,

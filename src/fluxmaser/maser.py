@@ -12,12 +12,14 @@ switched off.  ``n_th`` is the thermal occupancy of the cavity bath, ``n_t``
 the number of emitter cycles per cavity photon lifetime, and
 ``g_tau = g * tau`` the accumulated Rabi phase of one transit, so the pump
 parameter of the regular maser is ``tau_int = g_tau * sqrt(n_t)``.
+``S(n) = sin^2(g_tau * sqrt(n))`` is the emission probability of one transit
+with ``n`` photons already present, zero at trapping numbers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,7 +28,6 @@ from .errors import InvariantViolation
 __all__ = [
     "MaserConfig",
     "PhotonDistribution",
-    "rabi_s",
     "steady_state_sqc",
     "steady_state_atomic",
     "distribution_moments",
@@ -73,9 +74,6 @@ class MaserConfig:
             raise ValueError("from_interaction_time needs n_t > 0 to fix g_tau")
         return cls(n_th=n_th, n_t=n_t, g_tau=tau_int / math.sqrt(n_t), n_max=n_max)
 
-    def extended(self, n_max: int) -> "MaserConfig":
-        return MaserConfig(n_th=self.n_th, n_t=self.n_t, g_tau=self.g_tau, n_max=n_max)
-
 
 @dataclass
 class PhotonDistribution:
@@ -111,16 +109,6 @@ class PhotonDistribution:
             raise ValueError(f"distribution sums to {total!r}, not 1")
         if not self.p.min() >= -1e-12:
             raise ValueError(f"negative component {self.p.min():.3e} below tolerance")
-
-
-def rabi_s(n, g_tau: float):
-    """Emission probability after one transit with ``n`` photons already present.
-
-    ``S(n) = sin^2(g_tau * sqrt(n))`` — zero at trapping numbers.
-    """
-    n = np.asarray(n, dtype=float)
-    out = np.sin(g_tau * np.sqrt(n)) ** 2
-    return float(out) if out.ndim == 0 else out
 
 
 def _finalize(raw: np.ndarray, provenance: str) -> PhotonDistribution:
@@ -183,7 +171,7 @@ def _run(builder, cfg: MaserConfig, provenance: str, auto_extend: bool) -> Photo
         dist.unstable = grew or dist.clamped_mass > CLAMPED_MASS_LIMIT
         if not (auto_extend and dist.truncation_limited and current.n_max < N_MAX_CEILING):
             return dist
-        current = current.extended(min(2 * current.n_max, N_MAX_CEILING))
+        current = replace(current, n_max=min(2 * current.n_max, N_MAX_CEILING))
 
 
 def steady_state_sqc(cfg: MaserConfig, *, auto_extend: bool = True) -> PhotonDistribution:

@@ -27,9 +27,6 @@ __all__ = [
     "point_record",
     "transition_element",
     "adiabatic_k",
-    "adiabatic_rate_check",
-    "pumping_feasibility",
-    "relative_relaxation",
 ]
 
 DEGENERACY_FLOOR = 1e-6
@@ -128,43 +125,3 @@ def point_record(
         momenta=spec.momenta,
         max_residual=float(spec.residuals.max()),
     )
-
-
-@dataclass(frozen=True)
-class RateCheck:
-    product: float
-    adiabatic: bool
-
-
-def adiabatic_rate_check(k_ns: float, ramp_rate_per_ns: float, threshold: float = 0.1) -> RateCheck:
-    """Evaluate ``K * |df_s/dt|`` and compare against the adiabatic threshold."""
-    product = abs(k_ns * ramp_rate_per_ns)
-    return RateCheck(product=product, adiabatic=product < threshold)
-
-
-@dataclass(frozen=True)
-class Feasibility:
-    ratio: float
-    passes: bool
-
-
-def pumping_feasibility(t_01: float, t_12: float, t_02: float, threshold: float = 5.0) -> Feasibility:
-    """Pump-selectivity ratio ``min(|t_12|, |t_02|) / |t_01|``.
-
-    Large values mean the two pump legs dominate the direct 0-1 leakage, so
-    population can be cycled into the upper working level faster than it
-    decays.  A zero-leakage amplitude gives an infinite ratio.
-    """
-    if t_01 == 0.0:
-        return Feasibility(ratio=math.inf, passes=True)
-    ratio = min(abs(t_12), abs(t_02)) / abs(t_01)
-    return Feasibility(ratio=ratio, passes=ratio >= threshold)
-
-
-def relative_relaxation(t_01_a: float, t_01_b: float) -> float:
-    """Radiative-lifetime ratio between two bias points, ``(t_b/t_a)^2``.
-
-    Spontaneous emission scales with the squared amplitude, so this is how
-    much faster the state relaxes at point ``b`` than at point ``a``.
-    """
-    return (t_01_b / t_01_a) ** 2

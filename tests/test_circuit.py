@@ -15,7 +15,6 @@ from fluxmaser import (
     PhaseGrid,
     assemble_hamiltonian,
     circulating_current,
-    effective_alpha,
     lowest_eigenpairs,
     potential,
 )
@@ -54,12 +53,6 @@ def test_params_reject_nonpositive_inputs():
 def test_params_reject_non_finite_inputs(name, value):
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         CircuitParams(**{name: value})
-
-
-def test_effective_alpha_landmarks():
-    assert effective_alpha(0.5, 0.0) == pytest.approx(1.0, abs=1e-15)
-    assert effective_alpha(0.5, 0.22) == pytest.approx(0.77, abs=5e-3)
-    assert abs(effective_alpha(0.5, 0.5)) < 1e-12
 
 
 def test_potential_landmark_values():

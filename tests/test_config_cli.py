@@ -105,6 +105,27 @@ def test_unknown_keys_rejected(tmp_path):
         load_config(mixed)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("circuit: {n_p: 41, n_p: 81}\n", r"^circuit\.n_p: duplicate key"),
+        ("sweep: {k: 5}\nsweep: {f_points: 3}\n", r"^sweep: duplicate key"),
+        # an alias into its own anchor ends the key walk rather than recursing
+        ("sweep: &a [*a]\n", r"^section 'sweep' must be a mapping"),
+    ],
+    ids=["nested-key", "top-level-block", "self-alias"],
+)
+def test_duplicate_keys_exit_one(text, message, tmp_path, capsys):
+    # YAML's plain loader keeps the last value, and the digest hashes only that one
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    with pytest.raises(ConfigError, match=message):
+        load_config(cfg)
+    assert main(["fig2", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert re.search(message.lstrip("^"), capsys.readouterr().err)
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 def test_type_errors_rejected(tmp_path):
     for snippet in (
         "circuit: {gamma: wide}\n",
@@ -543,7 +564,12 @@ def test_rule_breaks_exit_one_before_solving(command, snippet, key, tmp_path, ca
     monkeypatch.setattr(cli, "point_record", never)
     monkeypatch.setattr(cli, "steady_state_sqc", never)
     cfg = tmp_path / "cfg.yaml"
-    cfg.write_text("circuit: {n_p: 41, n_q: 81}\n" + snippet + "\n")
+    # the grid joins a snippet's own circuit block: a second one would be a
+    # duplicate key
+    if snippet.startswith("circuit: {"):
+        cfg.write_text(snippet.replace("{", "{n_p: 41, n_q: 81, ", 1) + "\n")
+    else:
+        cfg.write_text("circuit: {n_p: 41, n_q: 81}\n" + snippet + "\n")
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 1
     err = capsys.readouterr().err

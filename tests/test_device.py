@@ -7,19 +7,14 @@ import scipy.constants
 from scipy.constants import c as c_light
 
 from fluxmaser import device
-from fluxmaser.device import (
-    CavityParams,
-    cavity_frequency,
-    coupling_rate,
-    device_report,
-    format_device_report,
-    inductance_check,
-    interaction_time,
-    photon_lifetime,
-    sigma_z_term_estimate,
-    vacuum_flux_ratio,
-    wavelength,
-)
+from fluxmaser.device import CavityParams, device_report, format_device_report
+
+
+def _report_at_flux_ratio(ratio, **kwargs):
+    """The report with the SQUID area scaled so that Phi_w0/Phi_0 is ``ratio``
+    (the flux ratio is linear in that area)."""
+    area = CavityParams().squid_area * ratio / device_report(**kwargs).phi_ratio
+    return device_report(cavity=CavityParams(squid_area=area), **kwargs)
 
 
 def test_codata_literals_match_scipy():
@@ -31,26 +26,26 @@ def test_codata_literals_match_scipy():
 
 
 def test_cavity_frequency_example():
-    assert cavity_frequency(0.05, 400.0) == pytest.approx(20.0, rel=1e-12)
+    assert device_report(0.05, ej_freq=400.0).nu_ghz == pytest.approx(20.0, rel=1e-12)
     with pytest.raises(ValueError):
-        cavity_frequency(0.05, 0.0)
+        device_report(0.05, ej_freq=0.0)
 
 
 def test_wavelength_is_c_over_nu():
-    lam = wavelength(20.0)
+    lam = device_report(0.05, ej_freq=400.0).wavelength_m
     assert lam == pytest.approx(c_light / 20e9, rel=1e-12)
     assert lam == pytest.approx(1.5e-2, rel=0.01)
 
 
 def test_vacuum_flux_ratio_magnitude_and_scaling():
     cavity = CavityParams()
-    ratio = vacuum_flux_ratio(cavity, 20.0)
+    ratio = device_report(0.05, ej_freq=400.0, cavity=cavity).phi_ratio
     assert ratio == pytest.approx(1.1e-4, rel=0.10)
     # linear in pickup area, inverse square root in mode volume footprint
     bigger_squid = CavityParams(squid_area=2 * cavity.squid_area)
-    assert vacuum_flux_ratio(bigger_squid, 20.0) == pytest.approx(2 * ratio, rel=1e-12)
+    assert device_report(cavity=bigger_squid).phi_ratio == pytest.approx(2 * ratio, rel=1e-12)
     wider = CavityParams(area=4 * cavity.area)
-    assert vacuum_flux_ratio(wider, 20.0) == pytest.approx(ratio / 2, rel=1e-12)
+    assert device_report(cavity=wider).phi_ratio == pytest.approx(ratio / 2, rel=1e-12)
 
 
 def test_cavity_params_validated():
@@ -65,41 +60,44 @@ def test_cavity_params_validated():
 
 
 def test_coupling_rate_example():
-    g = coupling_rate(0.13, 1.1e-4, 400.0)
-    assert g == pytest.approx(2.2e8, rel=0.05)
-    assert g == pytest.approx(2.18e8, rel=0.05)
+    report = _report_at_flux_ratio(1.1e-4, t_01=0.13, ej_freq=400.0)
+    assert report.phi_ratio == pytest.approx(1.1e-4, rel=1e-12)
+    assert report.g_rad_s == pytest.approx(2.2e8, rel=0.05)
+    assert report.g_rad_s == pytest.approx(2.18e8, rel=0.05)
 
 
 def test_interaction_time_example():
-    g = coupling_rate(0.13, 1.1e-4, 400.0)
-    tau_s = interaction_time(g)
-    assert tau_s * 1e9 == pytest.approx(20.0, rel=0.10)
+    report = _report_at_flux_ratio(1.1e-4, t_01=0.13, ej_freq=400.0)
+    assert report.tau_interaction_ns == pytest.approx(20.0, rel=0.10)
 
 
 def test_photon_lifetime_example():
-    assert photon_lifetime(20.0, 1e6) == pytest.approx(7.96e-6, rel=1e-3)
+    report = device_report(0.05, ej_freq=400.0, cavity=CavityParams(quality=1e6))
+    assert report.tau_photon_s == pytest.approx(7.96e-6, rel=1e-3)
 
 
 def test_inductance_check_example():
-    report = inductance_check(400.0, 0.1)
+    report = device_report(ej_freq=400.0, beta_l=0.1)
     assert report.i_c == pytest.approx(0.8e-6, rel=0.02)
     assert report.l_j == pytest.approx(409e-12, rel=0.01)
     assert report.l_loop == pytest.approx(40e-12, rel=0.10)
 
 
 def test_sigma_z_term_is_small_fraction_of_gap():
-    estimate = sigma_z_term_estimate(1.1e-4)
+    report = _report_at_flux_ratio(1.1e-4, gap_over_ej=0.05)
+    estimate = report.sigma_z_over_ej
     assert estimate == pytest.approx(math.pi * 1.1e-4, rel=1e-12)
     assert estimate == pytest.approx(3.5e-4, rel=0.02)
-    assert estimate / 0.05 < 0.01
+    assert report.sigma_z_over_gap < 0.01
 
 
 def test_device_report_consistency():
     report = device_report()
     assert report.nu_ghz == pytest.approx(20.0)
     assert report.g_mhz == pytest.approx(report.g_rad_s / 1e6)
+    # the default phase 1.4 pi at n_t = 1
     assert report.tau_interaction_ns == pytest.approx(
-        interaction_time(report.g_rad_s) * 1e9, rel=1e-12
+        1.4 * math.pi / report.g_rad_s * 1e9, rel=1e-12
     )
     assert report.l_loop == pytest.approx(report.beta_l * report.l_j, rel=1e-12)
     assert report.sigma_z_over_gap == pytest.approx(

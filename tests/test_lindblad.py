@@ -357,7 +357,6 @@ def test_long_run_diagonal_near_recursion(pumped_long_run):
 
 
 @pytest.mark.xfail(
-    strict=True,
     reason="the true steady state carries a genuine -1.77e-6 population at "
     "n=7 (quasi-trapping residue of the second-order pump correction); the "
     "distribution type clamps it to zero, so agreement bottoms out at 1.77e-6",
@@ -369,7 +368,6 @@ def test_long_run_diagonal_matches_recursion_tightly(pumped_long_run):
 
 
 @pytest.mark.xfail(
-    strict=True,
     reason="same quasi-trapping residue: the pumped steady state dips to "
     "-1.77e-6 at n=7, below the -1e-9 positivity line; a property of the "
     "model equation, not of the integrator",

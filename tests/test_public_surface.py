@@ -4,6 +4,7 @@ the package or its CLI sets up BLAS as documented."""
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,33 @@ MODULES = [fluxmaser] + [
     importlib.import_module(f"fluxmaser.{info.name}")
     for info in pkgutil.iter_modules(fluxmaser.__path__)
 ]
+
+
+# the package's whole public surface: adding or dropping a name is a change
+# to this list, not a side effect
+PUBLIC_NAMES = [
+    "__version__",
+    "CircuitParams", "PhaseGrid", "HamiltonianOperator", "assemble_hamiltonian", "potential",
+    "circulating_current",
+    "EigenSpectrum", "lowest_eigenpairs",
+    "PointRecord", "point_record", "transition_element", "adiabatic_k",
+    "MaserConfig", "PhotonDistribution", "steady_state_sqc", "steady_state_atomic",
+    "distribution_moments",
+    "gain_map", "evolve", "steady_state_nullspace",
+    "CavityParams", "DeviceReport", "device_report",
+]
+
+
+def test_package_exports_are_pinned():
+    assert fluxmaser.__all__ == PUBLIC_NAMES
+
+
+def test_readme_library_quickstart_runs(capsys):
+    # the documented example, run as written under the suite's warnings-as-errors
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library quickstart\n\n```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda module: module.__name__)
