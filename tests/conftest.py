@@ -5,10 +5,12 @@ several test modules share (transition amplitudes, ramp sensitivities, the
 headline gap checks), so they are solved once per session.
 """
 
+import gc
+
 import numpy as np
 import pytest
 
-from fluxmaser import CircuitParams, PhaseGrid, assemble_hamiltonian, lowest_eigenpairs
+from fluxmaser import CircuitParams, PhaseGrid, assemble_hamiltonian, lowest_eigenpairs, spectrum
 
 PRODUCTION_GRID = (81, 161)
 
@@ -56,3 +58,25 @@ def spec_offres():
 def spec_crossing():
     """Symmetric point with screening off: selection rules and level crossings."""
     return solve_point(0.5, 0.0)
+
+
+@pytest.fixture(autouse=True)
+def _unfreeze_after_cli():
+    """Return to the collector whatever a test's ``cli.main`` call froze, so
+    that the rest of the session's garbage stays collectable."""
+    yield
+    gc.unfreeze()
+
+
+def nan_eigenvector(monkeypatch, f=None):
+    """Make the block eigensolver return its top eigenvector as NaN, at every
+    point or only at flux ``f``."""
+    solve = spectrum._solve_block
+
+    def poisoned(op, *args):
+        vals, vecs, used = solve(op, *args)
+        if f is None or op.params.f == f:
+            vecs[:, -1] = np.nan
+        return vals, vecs, used
+
+    monkeypatch.setattr(spectrum, "_solve_block", poisoned)

@@ -21,6 +21,8 @@ from fluxmaser.cli import BLAS_THREAD_ENV, _fmt, _parallel_map, main
 from fluxmaser.config import config_digest, load_config
 from fluxmaser.errors import ConfigError, ConvergenceError
 
+from .conftest import nan_eigenvector
+
 TINY_CONFIG = """\
 circuit:
   n_p: 41
@@ -282,6 +284,14 @@ def test_pool_start_method_follows_the_thread_count(tiny_config, tmp_path, env, 
     marks = [mark for _, pid, mark in run["results"] if pid != run["pid"]]
     assert marks
     assert marks == ["parent" if forked else None] * len(marks)
+
+
+def test_unreadable_thread_count_spawns(monkeypatch):
+    def unreadable(path):
+        raise OSError(f"cannot list {path}")
+
+    monkeypatch.setattr(os, "listdir", unreadable)
+    assert cli._start_method() == "spawn"
 
 
 def test_default_workers_are_the_usable_cpus(monkeypatch):
@@ -594,6 +604,20 @@ def test_numerical_point_failures_are_logged_and_exit_two(
     ]
 
 
+def test_nan_residual_point_is_logged_not_written(tiny_config, tmp_path, capsys, monkeypatch):
+    f_bad = np.linspace(0.48, 0.50, 3)[1]
+    nan_eigenvector(monkeypatch, f=f_bad)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(tiny_config), "--out", str(out), "--workers", "1"]) == 2
+    assert "1/3 sweep points failed" in capsys.readouterr().err
+    log = (out / "sweep_fs_0.27_failures.log").read_text().splitlines()
+    assert len(log) == 1
+    assert log[0].startswith(f"f={f_bad:.6g} f_s=0.27: ConvergenceError: eigensolver residual nan")
+    _, _, rows = read_rows(out / "sweep_fs_0.27.csv")
+    assert [row[0] for row in rows] == ["0.48", "0.5"]
+    assert "nan" not in (out / "sweep_fs_0.27.csv").read_text()
+
+
 def test_other_point_errors_propagate_without_csv(tiny_config, tmp_path, monkeypatch):
     def broken(params, **solver):
         raise TypeError("not a numerical failure")
@@ -629,6 +653,30 @@ def test_colliding_csv_names_exit_one_before_solving(
     err = capsys.readouterr().err
     assert key in err and "would both write" in err
     assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_unreadable_config_exits_one_without_traceback(tmp_path, capsys):
+    missing = tmp_path / "absent.yaml"
+    out = tmp_path / "out"
+    assert main(["fig4", "--config", str(missing), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {missing}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_out_naming_a_file_exits_one_before_solving(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a point was solved")
+
+    monkeypatch.setattr(cli, "steady_state_sqc", never)
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    assert main(["fig4", "--out", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out {taken}: cannot create directory: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert taken.read_text() == "kept\n"
 
 
 def test_version_flag():

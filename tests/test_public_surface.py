@@ -122,3 +122,16 @@ def test_spectral_cli_import_leaves_one_thread(command):
         "print(len(os.listdir('/proc/self/task')), cli._start_method())"
     )
     assert _fresh_python(code, command, "--workers", "2") == "1 fork\n"
+
+
+def test_cli_main_freezes_the_import_heap(tmp_path):
+    # exit, and every collection of a run or a forked worker, walks only what
+    # is not frozen; the freeze comes with main, not with the import
+    code = (
+        "import gc, sys, fluxmaser.cli as cli\n"
+        "assert gc.get_freeze_count() == 0\n"
+        "before = len(gc.get_objects())\n"
+        "assert cli.main(['estimate-device', '--out', sys.argv[1]]) == 0\n"
+        "assert gc.get_freeze_count() >= before, (gc.get_freeze_count(), before)\n"
+    )
+    _fresh_python(code, str(tmp_path))

@@ -19,7 +19,7 @@ from fluxmaser import (
 from fluxmaser import spectrum
 from fluxmaser.errors import ConvergenceError
 
-from .conftest import PRODUCTION_GRID, random_operators
+from .conftest import PRODUCTION_GRID, nan_eigenvector, random_operators
 from .oracles import dense_levels, full_basis_levels, position_hamiltonian
 
 COARSE = PhaseGrid(41, 81)
@@ -92,6 +92,15 @@ def test_cached_start_is_the_seeded_draw(dim, seed):
     assert first.tobytes() == fresh.tobytes()
     assert spectrum._seeded_start(dim, seed) is first
     assert not first.flags.writeable
+
+
+def test_nan_residual_fails_the_gate(monkeypatch):
+    # NaN compares false with any bound, so the gate must be written to fail
+    # it: the solve widens to the full basis and still may not return nan
+    nan_eigenvector(monkeypatch)
+    op = assemble_hamiltonian(CircuitParams(f=0.493, f_s=0.27), PhaseGrid(16, 32))
+    with pytest.raises(ConvergenceError, match="residual nan exceeds bound"):
+        lowest_eigenpairs(op, 4)
 
 
 def test_shift_above_the_ground_state_fails_the_factor(coarse_spec):
