@@ -37,7 +37,6 @@ _EXPORTS = {
     "steady_state_sqc": "maser",
     "steady_state_atomic": "maser",
     "distribution_moments": "maser",
-    "gain_map": "lindblad",
     "evolve": "lindblad",
     "steady_state_nullspace": "lindblad",
     "CavityParams": "device",

@@ -23,8 +23,10 @@ is written in its real discrete Fourier basis, integer momenta on an
 untwisted ring and half-integer ones on a twisted ring, where the ring
 Laplacian is diagonal and the potential's ``phi_q`` terms shift the momentum
 by 1 or 1/2.  The ``cos(phi_p)`` part of the potential couples neighbouring
-modes.  Spectra and the elements of the loop current and of ``dH/df_s``,
-assembled beside it, are computed in this basis; the position-basis
+modes.  ``H``, the loop current and ``dH/df_s`` are weightings, by the two
+fluxes, of one tagged pattern of parts that depends on neither, so a run
+builds that pattern once.  Spectra and the elements of the loop current and
+of ``dH/df_s`` are computed in this basis; the position-basis
 assembly, the torus and the position-sampled states it is checked against
 live with the test oracles.
 """
@@ -201,18 +203,23 @@ def _ring_product(n: int, twisted: bool, shift: int, sine: bool) -> sp.csr_matri
 
 
 class _FixedParts:
-    """The ``f``-independent pieces of one sector operator, on one sparsity pattern.
+    """The flux-free parts of one sector operator, tagged on one sparsity pattern.
 
-    ``H(f) = H0 + cos(pi f) C + sin(pi f) S``.  The three never share an
-    entry: ``H0`` fills the blocks of one ``phi_p`` mode, ``C`` and ``S`` the
-    blocks between modes, where ``C`` (from ``sin(theta/2)``) turns a cosine
-    momentum row into a sine one and ``S`` (from ``cos(theta/2)``) keeps the
-    kind.  So ``values`` holds every entry of the pattern ``(cols,
-    indptr)`` once, and ``tags`` says which part it belongs to (0, 1, 2);
-    an operator builds the loop current ``(sin(pi f) C - cos(pi f) S)/2`` on
-    the same pattern.  The band layouts of the principal blocks of kept
-    cutoffs are worked out once and kept.  Every array is read-only, since
-    the operators of all points share them.
+    ``H = sum_t w_t P_t`` with the weights ``w`` of :func:`_part_weights`:
+    ``P_0`` is the diagonal ``c_p m^2 + c_q (2 - 2 cos(kappa h))/h^2 + 2 +
+    2 gamma``; ``P_1 = C`` (from ``sin(theta/2)``, turning a cosine momentum
+    row into a sine one) and ``P_2 = S`` (from ``cos(theta/2)``, keeping the
+    kind) fill the blocks between modes; ``P_3`` holds the ``cos(theta)``
+    entries of every ring.  ``values`` holds each part's entries on the
+    pattern ``(cols, indptr)`` and ``tags`` says which part each belongs to;
+    ``P_0`` and ``P_3`` both have an entry on the diagonal of the
+    ``kappa = 1/2`` rows of a twisted ring and of an odd ring's top
+    momentum, so there the pattern lists a position twice.  The loop current
+    and ``dH/df_s`` are weightings of the same parts, so nothing here
+    depends on ``f`` or ``f_s``, and one object serves every point of a
+    circuit, grid and sector.  The band layouts of the principal blocks of
+    kept cutoffs are worked out once and kept.  Every array is read-only,
+    since the operators of all points share them.
     """
 
     def __init__(self, params: CircuitParams, grid: PhaseGrid, sector: str) -> None:
@@ -267,34 +274,31 @@ class _FixedParts:
         # and cos(pi f + phi_q/2) = sin(pi f) cos(theta/2) + cos(pi f) sin(theta/2)
         laplacian = (2.0 - 2.0 * np.cos(flat * math.pi / n)) / h**2  # kappa h = flat pi/n
         kinetic = params.c_p * ms[:, None] ** 2 + params.c_q * laplacian
-        shape = (self.dim, self.dim)
         rows, cols, cos_theta = (np.concatenate(x) for x in zip(within(False), within(True)))
-        squid = sp.csr_matrix((cos_theta, (rows, cols)), shape=shape)
-        # an odd ring's top momentum meets itself under cos(theta): the sum adds
-        # that entry to the diagonal
-        h0 = (
-            sp.diags(kinetic.ravel() + 2.0 + 2.0 * params.gamma)
-            + 2.0 * params.gamma * math.cos(math.pi * params.f_s) * squid
-        ).tocoo()
-        pieces = [(h0.row, h0.col, h0.data), across(True), across(False)]
-        tags = np.repeat(np.arange(3, dtype=np.int8), [v.size for *_, v in pieces])
+        self.cos_theta = sp.csr_matrix((cos_theta, (rows, cols)), shape=(self.dim, self.dim))
+        diagonal = np.arange(self.dim, dtype=np.int32)
+        pieces = [
+            (diagonal, diagonal, kinetic.ravel() + 2.0 + 2.0 * params.gamma),
+            across(True),
+            across(False),
+            (rows, cols, cos_theta),
+        ]
+        # index-sized tags: a point gathers its weights by them, 3x slower from int8
+        tags = np.repeat(np.arange(4, dtype=np.intp), [v.size for *_, v in pieces])
         rows, cols, values = (np.concatenate(x) for x in zip(*pieces))
-        del pieces, h0  # release the pieces before the sort copies every entry
+        del pieces, cos_theta  # release the pieces before the sort copies every entry
+        # stable, so a position listed twice keeps P_0's entry before P_3's
         order = np.lexsort((cols, rows))
         self.cols, self.values, self.tags = cols[order], values[order], tags[order]
         self.indptr = _indptr(rows[order], self.dim)
         del rows, cols, values, tags, order
-        d_u = -2.0 * math.pi * params.gamma * math.sin(math.pi * params.f_s)
-        self.dh_dfs = d_u * squid
         _read_only(self.cols, self.indptr, self.values, self.tags, self.row_harmonic,
-                   self.row_momentum, self.chain, self.dh_dfs.data, self.dh_dfs.indices,
-                   self.dh_dfs.indptr)
+                   self.row_momentum, self.chain, self.cos_theta.data, self.cos_theta.indices,
+                   self.cos_theta.indptr)
 
         # position-basis pieces of the spectral floor and of the gate's scale
         self.phi_q = grid.phi_q_half_axis
-        self.u_sites = 2.0 + 2.0 * params.gamma * (
-            1.0 - math.cos(math.pi * params.f_s) * np.cos(self.phi_q)
-        )
+        self.cos_phi_q = np.cos(self.phi_q)
         self.mode_row_base = params.c_p * ms * ms + 4.0 * params.c_q / h**2
         self.ladder_sums = np.bincount(ladder[0], weights=ladder[2], minlength=n_modes)
         self.blocks: dict[tuple[int, int], tuple] = {}
@@ -343,18 +347,21 @@ def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))]).astype(np.int32)
 
 
-# one entry: a sweep solves its points f_s by f_s, and each pool process takes
-# a contiguous run of them, so a second entry would only hold memory
+# one entry: a run solves every point on one circuit, grid and sector
 @lru_cache(maxsize=1)
-def _fixed_parts(
-    gamma: float, ej_over_ec: float, f_s: float, grid: PhaseGrid, sector: str
-) -> _FixedParts:
-    return _FixedParts(CircuitParams(gamma=gamma, ej_over_ec=ej_over_ec, f_s=f_s), grid, sector)
+def _fixed_parts(gamma: float, ej_over_ec: float, grid: PhaseGrid, sector: str) -> _FixedParts:
+    return _FixedParts(CircuitParams(gamma=gamma, ej_over_ec=ej_over_ec), grid, sector)
 
 
-def _part_weights(f: float) -> np.ndarray:
-    """Weights of ``H0``, ``C`` and ``S`` (entries tagged 0, 1, 2) at flux ``f``."""
-    return np.array([1.0, math.cos(math.pi * f), math.sin(math.pi * f)])
+def _part_weights(params: CircuitParams) -> np.ndarray:
+    """Weights of the parts tagged 0-3 (``P_0``, ``C``, ``S``, ``cos(theta)``) at
+    the fluxes of ``params``."""
+    return np.array([
+        1.0,
+        math.cos(math.pi * params.f),
+        math.sin(math.pi * params.f),
+        2.0 * params.gamma * math.cos(math.pi * params.f_s),
+    ])
 
 
 @dataclass
@@ -389,9 +396,9 @@ class HamiltonianOperator:
     @cached_property
     def current(self) -> sp.csr_matrix:
         # (sin(pi f) C - cos(pi f) S)/2 = -dH/d(pi f)/2, stored on H's pattern
-        # with zeros where H0 sits
-        weights = _part_weights(self.params.f)
-        weights = 0.5 * np.array([0.0, weights[2], -weights[1]])
+        # with zeros where the other parts sit
+        weights = _part_weights(self.params)
+        weights = 0.5 * np.array([0.0, weights[2], -weights[1], 0.0])
         data = self.parts.values * weights[self.parts.tags]
         return sp.csr_matrix((data, self.parts.cols, self.parts.indptr), shape=self.matrix.shape)
 
@@ -425,9 +432,11 @@ class HamiltonianOperator:
         ``kd`` is at most one mode's rows plus 2.
         """
         kd, kept, slots, values, tags = self.parts.block(harmonics, momenta)
-        band = np.zeros((kept.size, kd + 1))
-        band.ravel()[slots] = values * _part_weights(self.params.f)[tags]
-        return band.T, kept
+        # summed, since P_0 and P_3 share a slot on some diagonal rows
+        band = np.bincount(
+            slots, weights=values * _part_weights(self.params)[tags], minlength=kept.size * (kd + 1)
+        )
+        return band.reshape(kept.size, kd + 1).T, kept
 
 
 def assemble_hamiltonian(
@@ -462,21 +471,26 @@ def assemble_hamiltonian(
     ring Laplacian becomes the diagonal ``c_q (2 - 2 cos(kappa h))/h^2``,
     ``cos(phi_q)`` a +-1 shift in ``kappa``, and ``cos(pi f + phi_q/2)`` and
     ``sin(pi f + phi_q/2)`` +-1/2 shifts between twisted and untwisted
-    rings.  So ``H = H0 + cos(pi f) C + sin(pi f) S`` on one pattern, whose
-    ``f``-independent parts are built once per ``(f_s, grid, sector)``; the
-    last ones built are kept, so the points of one ``f_s`` share them.
+    rings.  So ``H = P_0 + cos(pi f) C + sin(pi f) S + 2 gamma cos(pi f_s)
+    cos(theta)``, a weighting of four tagged parts on one pattern that
+    depends on neither flux; the parts are built once per ``(circuit, grid,
+    sector)``, and the last ones built are kept, so every point of a run
+    shares them.
 
     ``lower_bound`` is ``min(U(phi_q) - 2 |cos(pi f + phi_q/2)|)`` over the
     ring sites, the grid minimum of the potential at ``cos(phi_p) = +-1``.
-    ``current`` is ``-L (x) diag(sin(pi f + phi_q/2))``, and ``dh_dfs`` the
-    diagonal ``2 pi gamma sin(pi f_s) cos(phi_q)`` on every mode, both in
-    the momentum basis.
+    ``current`` is ``-L (x) diag(sin(pi f + phi_q/2))``, the parts weighted
+    by ``(0, sin(pi f)/2, -cos(pi f)/2, 0)``, and ``dh_dfs`` the diagonal
+    ``2 pi gamma sin(pi f_s) cos(phi_q)`` on every mode, the ``cos(theta)``
+    part scaled by ``-2 pi gamma sin(pi f_s)``; both are in the momentum
+    basis.
     """
     if sector not in ("even", "odd"):
         raise ValueError(f"sector must be 'even' or 'odd', got {sector!r}")
-    parts = _fixed_parts(params.gamma, params.ej_over_ec, params.f_s, grid, sector)
+    parts = _fixed_parts(params.gamma, params.ej_over_ec, grid, sector)
     g_abs = np.abs(np.cos(math.pi * params.f + parts.phi_q / 2.0))
-    data = parts.values * _part_weights(params.f)[parts.tags]
+    u_sites = 2.0 + 2.0 * params.gamma * (1.0 - math.cos(math.pi * params.f_s) * parts.cos_phi_q)
+    data = parts.values * _part_weights(params)[parts.tags]
     # H >= lower_bound: the kinetic part is positive semidefinite (c_p m^2 >= 0,
     # and the ring Laplacian with either closing sign is >= 0), and L is a
     # principal submatrix of the cos(phi_p) multiplication operator in an
@@ -485,14 +499,14 @@ def assemble_hamiltonian(
     # sums to c_p m^2 + 4 c_q/h^2 + U_j + 2 |g_j| sum_b |L_ab|.
     return HamiltonianOperator(
         matrix=sp.csr_matrix((data, parts.cols, parts.indptr), shape=(parts.dim, parts.dim)),
-        dh_dfs=parts.dh_dfs,
+        dh_dfs=-2.0 * math.pi * params.gamma * math.sin(math.pi * params.f_s) * parts.cos_theta,
         params=params,
         grid=grid,
         sector=sector,
-        lower_bound=float(np.min(parts.u_sites - 2.0 * g_abs)),
+        lower_bound=float(np.min(u_sites - 2.0 * g_abs)),
         scale=float(
             np.max(
-                (parts.mode_row_base[:, None] + parts.u_sites)
+                (parts.mode_row_base[:, None] + u_sites)
                 + 2.0 * parts.ladder_sums[:, None] * g_abs
             )
         ),

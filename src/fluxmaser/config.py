@@ -90,7 +90,9 @@ class CircuitBlock(_Block):
 class SweepBlock(_Block):
     f_start: float = _rule(0.45)
     f_stop: float = _rule(0.55)
-    f_points: int = _rule(101, 1)
+    # a point costs about 10 ms at 81x161 on one CPU, so a run at the cap
+    # takes about 17 min per f_s value
+    f_points: int = _rule(101, 1, 10**5)
     f_s_values: tuple[float, ...] = _rule((0.0, 0.22, 0.27))
     # fig3 writes all ramp values into one CSV, so a repeat would repeat rows
     ramp_f_s_values: tuple[float, ...] = _rule((0.15, 0.22, 0.27), unique=True)

@@ -10,12 +10,12 @@ term is ordinary Poissonian gain; the second-order term is the correction
 for regular (sub-Poissonian) arming of the emitter.  Everything is expressed
 in cavity-lifetime units: ``kappa = 1`` and ``r_a = n_t``.
 
-``gain_map`` is the closed form of ``M``.  The generator keeps the coherence
-order ``d = n - m`` and is a four-diagonal band on each diagonal of rho,
-built in closed form by ``_coherence_block``; the matrix-form generator and
-dissipator it is checked against live with the test oracles.  Two
-independent routes to the steady state use these blocks to validate the
-closed-form recursions elsewhere: time evolution
+The generator keeps the coherence order ``d = n - m`` and is a
+four-diagonal band on each diagonal of rho, built in closed form by
+``_coherence_block``; the closed-form gain map ``M`` and the matrix-form
+generator and dissipator it is checked against live with the test
+oracles.  Two independent routes to the steady state use these blocks to
+validate the closed-form recursions elsewhere: time evolution
 (``evolve``, each occupied diagonal of rho advanced by a cached dense
 exponential of its block) and the ``d = 0`` nullspace
 (``steady_state_nullspace``, one O(n_max) sparse solve).
@@ -37,7 +37,7 @@ from .errors import AmbiguousSteadyStateError, InvariantViolation, TruncationWar
 from .maser import MaserConfig, PhotonDistribution, _finalize
 
 __all__ = [
-    "validate_density_matrix", "fock_state", "gain_map", "Trajectory", "evolve", "step_count",
+    "validate_density_matrix", "fock_state", "Trajectory", "evolve", "step_count",
     "diagonal_generator", "steady_state_nullspace",
 ]
 
@@ -71,33 +71,6 @@ def fock_state(n: int, n_max: int) -> np.ndarray:
     rho = np.zeros((n_max + 1, n_max + 1), dtype=complex)
     rho[n, n] = 1.0
     return rho
-
-
-def gain_map(rho: np.ndarray, g_tau: float) -> np.ndarray:
-    """Cavity state after one transit of an excited emitter, traced over it.
-
-    Closed form on the Fock grid::
-
-        (M rho)_{nm} = cos(g_tau sqrt(n+1)) cos(g_tau sqrt(m+1)) rho_{nm}
-                     + sin(g_tau sqrt(n))   sin(g_tau sqrt(m))   rho_{n-1,m-1}
-
-    Validated against a direct joint-space matrix exponential in the test
-    suite.  Population sitting on the top Fock level cannot emit into the
-    (truncated) next level, so it is flagged with a ``TruncationWarning``.
-    """
-    size = rho.shape[0]
-    if abs(rho[-1, -1]) > TOP_LEVEL_TOL:
-        warnings.warn(
-            f"top Fock level populated ({abs(rho[-1, -1]):.2e}); gain is truncation-limited",
-            TruncationWarning,
-            stacklevel=2,
-        )
-    n = np.arange(size, dtype=float)
-    cos_vec = np.cos(g_tau * np.sqrt(n + 1.0))
-    sin_vec = np.sin(g_tau * np.sqrt(n))
-    out = np.outer(cos_vec, cos_vec) * rho
-    out[1:, 1:] += np.outer(sin_vec[1:], sin_vec[1:]) * rho[:-1, :-1]
-    return out
 
 
 def _coherence_block(cfg: MaserConfig, d: int) -> sp.csr_matrix:

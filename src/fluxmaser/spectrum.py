@@ -45,7 +45,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import blas, lapack
+from scipy.linalg import lapack
 
 from .circuit import CircuitParams, HamiltonianOperator, PhaseGrid
 from .errors import ConvergenceError
@@ -194,17 +194,15 @@ def _solve_block(
         solves += 1
         return lapack.dpbtrs(factor, rhs)[0]
 
-    # with OPinv given, shift-invert eigsh reads the block only for its shape and dtype
-    block = spla.LinearOperator(
-        (n, n), matvec=lambda x: blas.dsbmv(kd, 1.0, band, x), dtype=np.float64
-    )
     opinv = spla.LinearOperator((n, n), matvec=solve, dtype=np.float64)
     # the start vector is drawn over the kept rows in basis order, so the solve
     # does not depend on the factor's row order
     v0 = np.empty(n)
     v0[np.argsort(rows)] = _seeded_start(n, seed)
     try:
-        vals, vecs = spla.eigsh(block, k=k, sigma=shift, which="LM", v0=v0, tol=0, OPinv=opinv)
+        # with OPinv given, shift-invert eigsh reads its operator argument only
+        # for the shape and dtype, so the solve stands in for the block
+        vals, vecs = spla.eigsh(opinv, k=k, sigma=shift, which="LM", v0=v0, tol=0, OPinv=opinv)
     except spla.ArpackNoConvergence as exc:
         # ARPACK's exception cannot be unpickled, so a sweep worker could
         # not hand it back as a failed point

@@ -16,7 +16,7 @@ from scipy.linalg import eigh, expm
 
 from fluxmaser.circuit import potential
 from fluxmaser.errors import TruncationWarning
-from fluxmaser.lindblad import gain_map
+from fluxmaser.lindblad import TOP_LEVEL_TOL
 from fluxmaser.maser import MaserConfig
 
 
@@ -255,6 +255,34 @@ def joint_gain_oracle(rho: np.ndarray, g_tau: float) -> np.ndarray:
     evolved = u @ joint @ u.conj().T
     field = evolved[:pad, :pad] + evolved[pad:, pad:]  # trace out the emitter
     return field[:size, :size]
+
+
+def gain_map(rho: np.ndarray, g_tau: float) -> np.ndarray:
+    """Cavity state after one transit of an excited emitter, traced over it.
+
+    Closed form on the Fock grid::
+
+        (M rho)_{nm} = cos(g_tau sqrt(n+1)) cos(g_tau sqrt(m+1)) rho_{nm}
+                     + sin(g_tau sqrt(n))   sin(g_tau sqrt(m))   rho_{n-1,m-1}
+
+    Validated against the joint-space matrix exponential of
+    :func:`joint_gain_oracle`.  Population sitting on the top Fock level
+    cannot emit into the (truncated) next level, so it is flagged with a
+    ``TruncationWarning``.
+    """
+    size = rho.shape[0]
+    if abs(rho[-1, -1]) > TOP_LEVEL_TOL:
+        warnings.warn(
+            f"top Fock level populated ({abs(rho[-1, -1]):.2e}); gain is truncation-limited",
+            TruncationWarning,
+            stacklevel=2,
+        )
+    n = np.arange(size, dtype=float)
+    cos_vec = np.cos(g_tau * np.sqrt(n + 1.0))
+    sin_vec = np.sin(g_tau * np.sqrt(n))
+    out = np.outer(cos_vec, cos_vec) * rho
+    out[1:, 1:] += np.outer(sin_vec[1:], sin_vec[1:]) * rho[:-1, :-1]
+    return out
 
 
 def thermal_state(n_th: float, n_max: int) -> np.ndarray:

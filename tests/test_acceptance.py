@@ -36,10 +36,10 @@ from fluxmaser import (
 )
 from fluxmaser.cli import main
 from fluxmaser.errors import TruncationWarning
-from fluxmaser.lindblad import evolve, fock_state, gain_map, steady_state_nullspace
+from fluxmaser.lindblad import evolve, fock_state, steady_state_nullspace
 
 from .conftest import solve_point
-from .oracles import joint_gain_oracle
+from .oracles import gain_map, joint_gain_oracle
 
 GRID = PhaseGrid(81, 161)
 

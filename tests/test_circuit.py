@@ -16,8 +16,10 @@ from fluxmaser import (
     assemble_hamiltonian,
     circulating_current,
     lowest_eigenpairs,
+    point_record,
     potential,
 )
+from fluxmaser.circuit import _fixed_parts
 
 from .conftest import random_operators
 from .oracles import (
@@ -195,6 +197,34 @@ def test_block_is_a_band_in_chain_order(shape, sector, cut):
     got = lapack.dpbtrs(factor, rhs)[0]
     reference = spla.spsolve((block - shift * sp.identity(rows.size)).tocsc(), rhs)
     assert np.linalg.norm(got - reference) <= 1e-12 * np.linalg.norm(reference)
+
+
+def test_one_tagged_pattern_serves_every_screening_flux():
+    # neither flux enters the parts, so the points of three f_s values build them once
+    grid = PhaseGrid(41, 81)
+    _fixed_parts.cache_clear()
+    for f_s in (0.0, 0.22, 0.27):
+        point_record(CircuitParams(f=0.493, f_s=f_s), grid)
+    assert _fixed_parts.cache_info().misses == 1
+
+
+def test_point_after_other_screening_fluxes_matches_a_fresh_build():
+    grid = PhaseGrid(41, 81)
+    params = CircuitParams(f=0.493, f_s=0.27)
+
+    def solve():
+        spec = lowest_eigenpairs(assemble_hamiltonian(params, grid), 6)
+        rec = point_record(params, grid)
+        return [spec.levels, spec.states, rec.levels, rec.t_01, rec.t_02, rec.t_12, rec.k_01,
+                rec.k_12, spec.solves, rec.solves]
+
+    _fixed_parts.cache_clear()
+    for f_s in (0.0, 0.15, 0.22):
+        point_record(params.replace(f_s=f_s), grid)
+    shared = solve()
+    _fixed_parts.cache_clear()
+    fresh = solve()
+    assert all(np.array_equal(a, b) for a, b in zip(shared, fresh))
 
 
 def test_lower_bound_below_ground_state():

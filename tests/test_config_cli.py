@@ -565,6 +565,7 @@ def test_missing_subcommand_exits_one(capsys):
         ("fig4", "maser: {n_th: -1.0}", "maser.n_th"),
         ("sweep", "sweep: {f_start: -1.0e+308, f_stop: 1.0e+308}", "sweep.f_start, sweep.f_stop"),
         ("fig2", "circuit: {ej_over_ec: 1.0e-300}", "circuit.ej_over_ec"),
+        ("sweep", "sweep: {f_points: 1000000000000}", "sweep.f_points"),
     ],
 )
 def test_rule_breaks_exit_one_before_solving(command, snippet, key, tmp_path, capsys, monkeypatch):

@@ -19,7 +19,6 @@ from fluxmaser.lindblad import (
     diagonal_generator,
     evolve,
     fock_state,
-    gain_map,
     steady_state_nullspace,
     step_count,
     validate_density_matrix,
@@ -29,6 +28,7 @@ from fluxmaser.maser import steady_state_atomic, steady_state_sqc
 from .oracles import (
     dissipator,
     expm_reference,
+    gain_map,
     generator,
     joint_gain_oracle,
     nullspace_vector,

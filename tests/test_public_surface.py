@@ -30,7 +30,7 @@ PUBLIC_NAMES = [
     "PointRecord", "point_record", "transition_element", "adiabatic_k",
     "MaserConfig", "PhotonDistribution", "steady_state_sqc", "steady_state_atomic",
     "distribution_moments",
-    "gain_map", "evolve", "steady_state_nullspace",
+    "evolve", "steady_state_nullspace",
     "CavityParams", "DeviceReport", "device_report",
 ]
 
