@@ -25,7 +25,8 @@ Laplacian is diagonal and the potential's ``phi_q`` terms shift the momentum
 by 1 or 1/2.  The ``cos(phi_p)`` part of the potential couples neighbouring
 modes.  ``H``, the loop current and ``dH/df_s`` are weightings, by the two
 fluxes, of one tagged pattern of parts that depends on neither, so a run
-builds that pattern once.  Spectra and the elements of the loop current and
+builds that pattern once, and a point weights only the part of it that one
+kept block and its halo read.  Spectra and the elements of the loop current and
 of ``dH/df_s`` are computed in this basis; the position-basis
 assembly, the torus and the position-sampled states it is checked against
 live with the test oracles.
@@ -36,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
-from typing import Literal
+from typing import Literal, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -210,16 +211,18 @@ class _FixedParts:
     2 gamma``; ``P_1 = C`` (from ``sin(theta/2)``, turning a cosine momentum
     row into a sine one) and ``P_2 = S`` (from ``cos(theta/2)``, keeping the
     kind) fill the blocks between modes; ``P_3`` holds the ``cos(theta)``
-    entries of every ring.  ``values`` holds each part's entries on the
-    pattern ``(cols, indptr)`` and ``tags`` says which part each belongs to;
+    entries of every ring.  ``pattern`` (a :class:`_Pattern`) holds every
+    part's entries, each tagged with the part it belongs to;
     ``P_0`` and ``P_3`` both have an entry on the diagonal of the
     ``kappa = 1/2`` rows of a twisted ring and of an odd ring's top
     momentum, so there the pattern lists a position twice.  The loop current
     and ``dH/df_s`` are weightings of the same parts, so nothing here
     depends on ``f`` or ``f_s``, and one object serves every point of a
-    circuit, grid and sector.  The band layouts of the principal blocks of
-    kept cutoffs are worked out once and kept.  Every array is read-only,
-    since the operators of all points share them.
+    circuit, grid and sector.  ``row_harmonic`` and ``row_momentum`` give
+    each basis row's ``phi_p`` harmonic and ``|kappa|``.  The layouts of
+    the kept blocks (:meth:`block`) are worked out once per cutoff and
+    kept.  Every array is read-only, since the operators of all points
+    share them.
     """
 
     def __init__(self, params: CircuitParams, grid: PhaseGrid, sector: str) -> None:
@@ -274,61 +277,119 @@ class _FixedParts:
         # and cos(pi f + phi_q/2) = sin(pi f) cos(theta/2) + cos(pi f) sin(theta/2)
         laplacian = (2.0 - 2.0 * np.cos(flat * math.pi / n)) / h**2  # kappa h = flat pi/n
         kinetic = params.c_p * ms[:, None] ** 2 + params.c_q * laplacian
-        rows, cols, cos_theta = (np.concatenate(x) for x in zip(within(False), within(True)))
-        self.cos_theta = sp.csr_matrix((cos_theta, (rows, cols)), shape=(self.dim, self.dim))
         diagonal = np.arange(self.dim, dtype=np.int32)
         pieces = [
             (diagonal, diagonal, kinetic.ravel() + 2.0 + 2.0 * params.gamma),
             across(True),
             across(False),
-            (rows, cols, cos_theta),
+            [np.concatenate(x) for x in zip(within(False), within(True))],
         ]
         # index-sized tags: a point gathers its weights by them, 3x slower from int8
         tags = np.repeat(np.arange(4, dtype=np.intp), [v.size for *_, v in pieces])
         rows, cols, values = (np.concatenate(x) for x in zip(*pieces))
-        del pieces, cos_theta  # release the pieces before the sort copies every entry
+        del pieces  # release the pieces before the sort copies every entry
         # stable, so a position listed twice keeps P_0's entry before P_3's
         order = np.lexsort((cols, rows))
-        self.cols, self.values, self.tags = cols[order], values[order], tags[order]
-        self.indptr = _indptr(rows[order], self.dim)
+        self.pattern = _Pattern(*_read_only(
+            cols[order], _indptr(rows[order], self.dim), values[order], tags[order]
+        ))
         del rows, cols, values, tags, order
-        _read_only(self.cols, self.indptr, self.values, self.tags, self.row_harmonic,
-                   self.row_momentum, self.chain, self.cos_theta.data, self.cos_theta.indices,
-                   self.cos_theta.indptr)
+        _read_only(self.row_harmonic, self.row_momentum, self.chain)
 
         # position-basis pieces of the spectral floor and of the gate's scale
         self.phi_q = grid.phi_q_half_axis
         self.cos_phi_q = np.cos(self.phi_q)
         self.mode_row_base = params.c_p * ms * ms + 4.0 * params.c_q / h**2
         self.ladder_sums = np.bincount(ladder[0], weights=ladder[2], minlength=n_modes)
-        self.blocks: dict[tuple[int, int], tuple] = {}
+        self.blocks: dict[tuple[int, int], _Block] = {}
 
-    def block(self, harmonics: int, momenta: int) -> tuple:
-        """Band layout of the block ``m <= harmonics``, ``|kappa| <= momenta``.
+    def block(self, harmonics: int, momenta: int) -> _Block:
+        """Layout of the kept block ``m <= harmonics``, ``|kappa| <= momenta``.
 
-        The kept rows run in chain order.  The ladder links a mode only to the
-        next mode of its chain and the ``phi_q`` terms shift the momentum by
-        at most 1, so no entry joins the two chains and every entry lies
-        within one mode's rows plus 2 of the diagonal.  Returns the kept rows,
-        the half-bandwidth ``kd`` and, for each entry on or above the
-        diagonal, its slot in the row-major ``(rows, kd + 1)`` array whose
-        transpose is LAPACK's upper band storage, its value and its tag.
+        Worked out once per cutoff and kept; see :class:`_Block`.
         """
         key = (harmonics, momenta)
         if key not in self.blocks:
             keep = (self.row_harmonic <= harmonics) & (self.row_momentum <= momenta)
             kept = self.chain[keep[self.chain]]
+            pattern = self.pattern
+            rows = _entry_rows(pattern.indptr)
+            entries = np.flatnonzero(keep[pattern.cols])
+            reached = np.zeros(self.dim, dtype=bool)
+            reached[rows[entries]] = True
+            halo = np.flatnonzero(reached & ~keep)
             position = np.zeros(self.dim, dtype=np.intp)
             position[kept] = np.arange(kept.size)
-            rows = _entry_rows(self.indptr)
-            inside = keep[rows] & keep[self.cols]
-            i, j = position[rows[inside]], position[self.cols[inside]]
-            upper = i <= j
-            i, j = i[upper], j[upper]
-            kd = int(np.max(j - i))
-            values, tags = self.values[inside][upper], self.tags[inside][upper]
-            self.blocks[key] = (kd, *_read_only(kept, j * (kd + 1) + kd + i - j, values, tags))
+            position[halo] = np.arange(kept.size, kept.size + halo.size)
+            # by layout row, stably, so each row keeps the pattern's column order
+            entries = entries[np.argsort(position[rows[entries]], kind="stable")]
+            i, j = position[rows[entries]], position[pattern.cols[entries]]
+
+            def part(select, n_rows):
+                # the selected entries, on the layout's rows and kept columns
+                return _Pattern(*_read_only(
+                    j[select].astype(np.int32), _indptr(i[select], n_rows),
+                    pattern.values[entries[select]], pattern.tags[entries[select]],
+                ))
+
+            end = np.searchsorted(i, kept.size)  # the kept rows' entries come first
+            band = np.flatnonzero(i[:end] <= j[:end])
+            kd = int(np.max(j[band] - i[band]))
+            rank = np.zeros(kept.size, dtype=np.intp)
+            rank[np.argsort(kept)] = np.arange(kept.size)
+            tags = pattern.tags[entries[:end]]
+            self.blocks[key] = _Block(
+                *_read_only(np.r_[kept, halo], rank, self.row_harmonic[halo] > harmonics, band,
+                            j[band] * (kd + 1) + kd + i[band] - j[band]),
+                columns=part(slice(None), kept.size + halo.size),
+                current=part(np.flatnonzero((tags == 1) | (tags == 2)), kept.size),
+                dh_dfs=part(np.flatnonzero(tags == 3), kept.size),
+                kept=kept.size,
+                kd=kd,
+            )
         return self.blocks[key]
+
+
+class _Pattern(NamedTuple):
+    """Entries of tagged parts on a CSR pattern ``(cols, indptr)``: entry
+    ``e`` holds ``values[e]`` of the part ``tags[e]``."""
+
+    cols: np.ndarray
+    indptr: np.ndarray
+    values: np.ndarray
+    tags: np.ndarray
+
+
+class _Block(NamedTuple):
+    """The entries of one kept block's columns: the block and its halo.
+
+    ``rows`` lists the kept rows ``m <= M``, ``|kappa| <= K`` in chain order
+    (the first ``kept`` of them), then the halo: every other row an entry of
+    a kept column reaches, in basis order.  ``rank`` gives each kept row's
+    place among the kept rows in basis order, and ``crosses`` marks the halo
+    rows past the harmonic cut.  The ladder links a mode only to the next
+    mode of its chain and the ``phi_q`` terms shift the momentum by at most
+    1 (or fold it at the ring's top), so the halo is one shell deep, no
+    entry joins the two chains, and every kept entry lies within one mode's
+    rows plus 2 of the diagonal.  ``columns`` holds those entries over
+    ``rows``, ``current`` the kept rows' entries of ``C`` and ``S`` and
+    ``dh_dfs`` those of ``cos(theta)``; each counts columns among the kept
+    rows and keeps the full pattern's column order within a row.  ``band``
+    picks the entries of ``columns`` on or above the kept block's diagonal,
+    and ``slots`` gives each one's slot in the row-major ``(kept, kd + 1)``
+    array whose transpose is LAPACK's upper band storage.
+    """
+
+    rows: np.ndarray
+    rank: np.ndarray
+    crosses: np.ndarray
+    band: np.ndarray
+    slots: np.ndarray
+    columns: _Pattern
+    current: _Pattern
+    dh_dfs: _Pattern
+    kept: int
+    kd: int
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -355,13 +416,25 @@ def _fixed_parts(gamma: float, ej_over_ec: float, grid: PhaseGrid, sector: str) 
 
 def _part_weights(params: CircuitParams) -> np.ndarray:
     """Weights of the parts tagged 0-3 (``P_0``, ``C``, ``S``, ``cos(theta)``) at
-    the fluxes of ``params``."""
+    the fluxes of ``params``: row 0 gives ``H``, row 1 the loop current
+    ``(sin(pi f) C - cos(pi f) S)/2 = -dH/d(pi f)/2`` and row 2 ``dH/df_s``."""
+    cos_f, sin_f = math.cos(math.pi * params.f), math.sin(math.pi * params.f)
     return np.array([
-        1.0,
-        math.cos(math.pi * params.f),
-        math.sin(math.pi * params.f),
-        2.0 * params.gamma * math.cos(math.pi * params.f_s),
+        [1.0, cos_f, sin_f, 2.0 * params.gamma * math.cos(math.pi * params.f_s)],
+        [0.0, 0.5 * sin_f, -0.5 * cos_f, 0.0],
+        [0.0, 0.0, 0.0, -2.0 * math.pi * params.gamma * math.sin(math.pi * params.f_s)],
     ])
+
+
+def _weighted(pattern: _Pattern, weights: np.ndarray, cols: int) -> sp.csr_matrix:
+    """A tagged pattern with each entry scaled by the weight of its tag, as a
+    CSR matrix of ``cols`` columns.
+
+    A position the pattern lists twice stays two entries, summed by every
+    product in the pattern's order, and a part weighted 0 stays as zeros.
+    """
+    data = pattern.values * weights[pattern.tags]
+    return sp.csr_matrix((data, pattern.cols, pattern.indptr), shape=(pattern.indptr.size - 1, cols))
 
 
 @dataclass
@@ -371,17 +444,15 @@ class HamiltonianOperator:
     ``matrix`` acts on coefficient vectors over (trigonometric ``phi_p``
     mode, real ``phi_q`` momentum row), momentum fastest; an l2-unit vector
     is a unit-normalised wavefunction.  ``current`` (the loop current
-    :func:`circulating_current`, built on first use) and ``dh_dfs``
-    (``dH/df_s``) act in the same basis.  ``lower_bound`` is a floor on the
-    spectrum: every eigenvalue of ``matrix`` is at least this value.
-    ``scale`` is the operator's infinity norm in the position basis (mode,
-    ring site), the scale of the eigensolver's residual gate.  ``row_harmonic`` and
-    ``row_momentum`` give each basis row's ``phi_p`` harmonic and ``|kappa|``;
-    which rows carry half-integer momenta depends on ``sector``.
+    :func:`circulating_current`) and ``dh_dfs`` (``dH/df_s``) act in the
+    same basis.  The three are built on first use, as weightings of the
+    run's tagged parts; a solve reads only :meth:`block`.  ``lower_bound``
+    is a floor on the spectrum: every eigenvalue of ``matrix`` is at least
+    this value.  ``scale`` is the operator's infinity norm in the position
+    basis (mode, ring site), the scale of the eigensolver's residual gate.
+    Which rows carry half-integer momenta depends on ``sector``.
     """
 
-    matrix: sp.csr_matrix
-    dh_dfs: sp.csr_matrix
     params: CircuitParams
     grid: PhaseGrid
     sector: str
@@ -391,16 +462,19 @@ class HamiltonianOperator:
 
     @property
     def dimension(self) -> int:
-        return self.matrix.shape[0]
+        return self.parts.dim
+
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        return _weighted(self.parts.pattern, _part_weights(self.params)[0], self.dimension)
 
     @cached_property
     def current(self) -> sp.csr_matrix:
-        # (sin(pi f) C - cos(pi f) S)/2 = -dH/d(pi f)/2, stored on H's pattern
-        # with zeros where the other parts sit
-        weights = _part_weights(self.params)
-        weights = 0.5 * np.array([0.0, weights[2], -weights[1], 0.0])
-        data = self.parts.values * weights[self.parts.tags]
-        return sp.csr_matrix((data, self.parts.cols, self.parts.indptr), shape=self.matrix.shape)
+        return _weighted(self.parts.pattern, _part_weights(self.params)[1], self.dimension)
+
+    @cached_property
+    def dh_dfs(self) -> sp.csr_matrix:
+        return _weighted(self.parts.pattern, _part_weights(self.params)[2], self.dimension)
 
     @property
     def harmonics(self) -> int:
@@ -412,31 +486,32 @@ class HamiltonianOperator:
         """Smallest momentum cutoff ``|kappa| <= momenta`` that keeps every row."""
         return (self.grid.n_q_half + 1) // 2
 
-    @property
-    def row_harmonic(self) -> np.ndarray:
-        return self.parts.row_harmonic
-
-    @property
-    def row_momentum(self) -> np.ndarray:
-        return self.parts.row_momentum
-
-    def block(self, harmonics: int, momenta: int) -> tuple[np.ndarray, np.ndarray]:
-        """Principal block of the rows with ``m <= harmonics`` and ``|kappa| <= momenta``.
+    def block(self, harmonics: int, momenta: int) -> tuple[np.ndarray, sp.csr_matrix, _Block]:
+        """The kept block of the rows with ``m <= harmonics`` and ``|kappa| <= momenta``.
 
         Returns the block in LAPACK's upper band storage, a Fortran-ordered
-        ``(kd + 1, rows)`` array whose entry ``(kd + i - j, j)`` is the
-        block's ``(i, j)``, and the indices of its rows in the full basis.
-        The rows run in chain order: the cosine chain of ``phi_p`` modes (the
-        constant mode, then ``cos(m phi_p)``), then the sine chain, mode by
-        mode with momentum fastest.  No entry joins the two chains, and
-        ``kd`` is at most one mode's rows plus 2.
+        ``(kd + 1, kept)`` array whose entry ``(kd + i - j, j)`` is the
+        block's ``(i, j)``; ``H`` on the block's columns, over the rows of
+        the layout (the kept rows, then their halo); and the layout
+        (:class:`_Block`).  The kept rows run in chain order: the cosine
+        chain of ``phi_p`` modes (the constant mode, then ``cos(m phi_p)``),
+        then the sine chain, mode by mode with momentum fastest.
         """
-        kd, kept, slots, values, tags = self.parts.block(harmonics, momenta)
+        layout = self.parts.block(harmonics, momenta)
+        columns = _weighted(layout.columns, _part_weights(self.params)[0], layout.kept)
         # summed, since P_0 and P_3 share a slot on some diagonal rows
         band = np.bincount(
-            slots, weights=values * _part_weights(self.params)[tags], minlength=kept.size * (kd + 1)
+            layout.slots, weights=columns.data[layout.band], minlength=layout.kept * (layout.kd + 1)
         )
-        return band.reshape(kept.size, kd + 1).T, kept
+        return band.reshape(layout.kept, layout.kd + 1).T, columns, layout
+
+    def elements(self, layout: _Block) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+        """``current`` and ``dh_dfs`` on the kept block of ``layout``, in its row order."""
+        weights = _part_weights(self.params)
+        return (
+            _weighted(layout.current, weights[1], layout.kept),
+            _weighted(layout.dh_dfs, weights[2], layout.kept),
+        )
 
 
 def assemble_hamiltonian(
@@ -475,22 +550,24 @@ def assemble_hamiltonian(
     cos(theta)``, a weighting of four tagged parts on one pattern that
     depends on neither flux; the parts are built once per ``(circuit, grid,
     sector)``, and the last ones built are kept, so every point of a run
-    shares them.
+    shares them.  Assembly itself builds no matrix: it computes the two
+    closed forms below, and ``matrix``, ``current`` and ``dh_dfs`` weight
+    the parts on first use, over the whole pattern or, through
+    :meth:`HamiltonianOperator.block`, over one kept block and its halo.
 
     ``lower_bound`` is ``min(U(phi_q) - 2 |cos(pi f + phi_q/2)|)`` over the
-    ring sites, the grid minimum of the potential at ``cos(phi_p) = +-1``.
-    ``current`` is ``-L (x) diag(sin(pi f + phi_q/2))``, the parts weighted
-    by ``(0, sin(pi f)/2, -cos(pi f)/2, 0)``, and ``dh_dfs`` the diagonal
-    ``2 pi gamma sin(pi f_s) cos(phi_q)`` on every mode, the ``cos(theta)``
-    part scaled by ``-2 pi gamma sin(pi f_s)``; both are in the momentum
-    basis.
+    ring sites, the grid minimum of the potential at ``cos(phi_p) = +-1``,
+    and ``scale`` the position-basis infinity norm.  ``current`` is ``-L (x)
+    diag(sin(pi f + phi_q/2))``, the parts weighted by ``(0, sin(pi f)/2,
+    -cos(pi f)/2, 0)``, and ``dh_dfs`` the diagonal ``2 pi gamma sin(pi
+    f_s) cos(phi_q)`` on every mode, the ``cos(theta)`` part weighted by
+    ``-2 pi gamma sin(pi f_s)``; both are in the momentum basis.
     """
     if sector not in ("even", "odd"):
         raise ValueError(f"sector must be 'even' or 'odd', got {sector!r}")
     parts = _fixed_parts(params.gamma, params.ej_over_ec, grid, sector)
     g_abs = np.abs(np.cos(math.pi * params.f + parts.phi_q / 2.0))
     u_sites = 2.0 + 2.0 * params.gamma * (1.0 - math.cos(math.pi * params.f_s) * parts.cos_phi_q)
-    data = parts.values * _part_weights(params)[parts.tags]
     # H >= lower_bound: the kinetic part is positive semidefinite (c_p m^2 >= 0,
     # and the ring Laplacian with either closing sign is >= 0), and L is a
     # principal submatrix of the cos(phi_p) multiplication operator in an
@@ -498,8 +575,6 @@ def assemble_hamiltonian(
     # U - 2 g L is >= U - 2|g|.  The position-basis row of (mode a, site j)
     # sums to c_p m^2 + 4 c_q/h^2 + U_j + 2 |g_j| sum_b |L_ab|.
     return HamiltonianOperator(
-        matrix=sp.csr_matrix((data, parts.cols, parts.indptr), shape=(parts.dim, parts.dim)),
-        dh_dfs=-2.0 * math.pi * params.gamma * math.sin(math.pi * params.f_s) * parts.cos_theta,
         params=params,
         grid=grid,
         sector=sector,

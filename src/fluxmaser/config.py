@@ -76,8 +76,12 @@ class CircuitBlock(_Block):
     # floor a level's square leaves the double range
     ej_over_ec: float = _rule(100.0, 1e-100)
     ej_freq: float = _rule(400.0, 0, above=True)
-    n_p: int = _rule(81, MIN_N_P)
-    n_q: int = _rule(161, MIN_N_Q)
+    # a run builds one tagged pattern of about 11 (n_p - 1) n_q/2 entries: at
+    # 641x1281 (4.5e6 entries) that took 0.71 s and 300 MB, and the first
+    # point 0.45 s and 110 MB more, one CPU; both grow with the entries, so a
+    # run at both caps needs about 1.1 GB before its first point is solved
+    n_p: int = _rule(81, MIN_N_P, 1025)
+    n_q: int = _rule(161, MIN_N_Q, 2049)
     sector: str = "even"
 
     def __post_init__(self) -> None:

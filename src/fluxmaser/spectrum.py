@@ -20,19 +20,24 @@ The low states use only the first few ``phi_p`` harmonics and ``phi_q``
 momenta, so the solve keeps harmonics ``m <= M`` and momenta
 ``|kappa| <= K``: the principal block of those rows of the operator's
 (mode, momentum) basis.  By Cauchy interlacing the block's levels lie at or
-above the full operator's, so the floor stays a valid shift.  The block
-eigenvectors, padded with zeros, go through the unchanged residual gate on
-the full operator; their residual there is exactly their coupling to the
-dropped rows, and by the Kato-Temple inequality (T. Kato, J. Phys. Soc.
-Jpn. 4, 334 (1949)) a residual ``r`` moves a level by at most ``r**2`` over
-its distance to the rest of the spectrum.  A solve whose largest residual
+above the full operator's, so the floor stays a valid shift.  The residual
+gate reads the full operator's residual of the block eigenvectors padded
+with zeros.  That is the block's own residual plus its coupling to the
+halo, the rows outside the block that its columns reach (Saad, *Numerical
+Methods for Large Eigenvalue Problems*, 2nd ed., SIAM 2011), so it is
+formed on the layout of ``HamiltonianOperator.block`` and nothing of full
+size is built.  By the Kato-Temple inequality (T. Kato, J. Phys. Soc. Jpn.
+4, 334 (1949)) a residual ``r`` moves a level by at most ``r**2`` over its
+distance to the rest of the spectrum.  A solve whose largest residual
 misses ``TRUNCATION_TARGET`` times the gate bound is repeated with ``M``,
-``K`` or both doubled (whichever cut carries the miss), up to the full
-basis.  The gate's scale is the operator's infinity norm in the position
-basis, ``HamiltonianOperator.scale``, since that norm is not
-basis-invariant.  ``EigenSpectrum.harmonics`` and ``EigenSpectrum.momenta`` report
-the ``M`` and ``K`` kept.  The states are the operator's coefficient
-vectors, so elements are read in the same basis.
+``K`` or both doubled (``M`` where the miss lies in halo rows past the
+harmonic cut, ``K`` where it lies in the others), up to the full basis.
+The gate's scale is the operator's infinity norm in the position basis,
+``HamiltonianOperator.scale``, since that norm is not basis-invariant.
+``EigenSpectrum.harmonics`` and ``EigenSpectrum.momenta`` report the ``M``
+and ``K`` kept.  The states are the operator's coefficient vectors, zero
+outside the block, so elements are read on the block with its ``current``
+and ``dh_dfs``.
 """
 
 from __future__ import annotations
@@ -67,9 +72,11 @@ class EigenSpectrum:
 
     ``levels`` are ascending, in units of E_J.  ``states[i]`` is the l2-unit
     coefficient vector of level ``i`` in the operator's basis, its largest
-    component positive; ``current`` and ``dh_dfs`` are the operator's.
+    component positive; it is zero outside the solved block's ``rows``
+    (basis indices, in the block's chain order).  ``current`` and ``dh_dfs``
+    are the operator's on that block, acting on ``states[:, rows]``.
     ``residuals`` are the solver residual norms ``|H v - E v|`` of the full
-    operator, with the coefficients of dropped harmonics zero, before any
+    operator, with the coefficients outside the block zero, before any
     degenerate-cluster rotation.  ``method`` names the solver route, always
     ``"lanczos"``; ``shift`` is the shift-invert point, below ``levels[0]``,
     and ``solves`` counts the factorised solves the Lanczos iterations asked
@@ -81,6 +88,7 @@ class EigenSpectrum:
     params: CircuitParams
     levels: np.ndarray
     states: np.ndarray
+    rows: np.ndarray
     current: sp.csr_matrix
     dh_dfs: sp.csr_matrix
     residuals: np.ndarray
@@ -167,17 +175,27 @@ def _column_norms(columns: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", rows, rows)) * scale
 
 
-def _solve_block(
-    op: HamiltonianOperator, k: int, seed: int, harmonics: int, momenta: int
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Lowest ``k`` eigenpairs of the block of harmonics ``m <= harmonics`` and
-    momenta ``|kappa| <= momenta``.
+def _misfit(columns: sp.csr_matrix, n: int, vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """``H v - E v`` of the block eigenpairs ``(vals, vecs)`` over the layout's rows.
 
-    Returns ascending levels, the eigenvectors padded with zeros to the full
-    operator's dimension, and the number of factorised solves.
+    ``columns`` is ``H`` on the kept columns over the ``n`` kept rows and
+    then the halo; every other row of ``H v`` is zero, since ``v`` is.
     """
-    band, rows = op.block(harmonics, momenta)
-    n, kd = rows.size, band.shape[0] - 1
+    misfit = columns @ vecs
+    misfit[:n] -= vecs * vals
+    return misfit
+
+
+def _solve_block(
+    op: HamiltonianOperator, band: np.ndarray, rank: np.ndarray, k: int, seed: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Lowest ``k`` eigenpairs of the block held in ``band`` (upper band storage),
+    whose rows fall in basis order as ``rank`` says.
+
+    Returns ascending levels, the eigenvectors over the block's rows, and the
+    number of factorised solves.
+    """
+    n, kd = rank.size, band.shape[0] - 1
     shift = op.lower_bound
     shifted = band.copy(order="F")
     shifted[kd] -= shift
@@ -197,8 +215,7 @@ def _solve_block(
     opinv = spla.LinearOperator((n, n), matvec=solve, dtype=np.float64)
     # the start vector is drawn over the kept rows in basis order, so the solve
     # does not depend on the factor's row order
-    v0 = np.empty(n)
-    v0[np.argsort(rows)] = _seeded_start(n, seed)
+    v0 = _seeded_start(n, seed)[rank]
     try:
         # with OPinv given, shift-invert eigsh reads its operator argument only
         # for the shape and dtype, so the solve stands in for the block
@@ -208,9 +225,7 @@ def _solve_block(
         # not hand it back as a failed point
         raise ConvergenceError(str(exc)) from exc
     order = np.argsort(vals)
-    padded = np.zeros((op.dimension, k))
-    padded[rows] = vecs[:, order]
-    return vals[order], padded, solves
+    return vals[order], vecs[:, order], solves
 
 
 def lowest_eigenpairs(
@@ -247,18 +262,19 @@ def lowest_eigenpairs(
     momenta = min(max(_start_momenta(op.params, op.grid), 2), op.momenta)
     solves = 0
     while True:
-        vals, vecs, used = _solve_block(op, k, seed, harmonics, momenta)
+        band, columns, layout = op.block(harmonics, momenta)
+        n = layout.kept
+        vals, vecs, used = _solve_block(op, band, layout.rank, k, seed)
         solves += used
-        misfit = op.matrix @ vecs - vecs * vals
+        misfit = _misfit(columns, n, vals, vecs)
         residuals = _column_norms(misfit)
         if residuals.max() <= target or (harmonics, momenta) == full:
             break
-        # widen the cut whose dropped rows carry the miss, both if neither does
-        dropped_m = op.row_harmonic > harmonics
-        dropped_k = ~dropped_m & (op.row_momentum > momenta)
+        # widen the cut whose halo rows carry the miss, both if neither does
+        halo = misfit[n:]
         miss_m, miss_k = (
-            _column_norms(misfit[rows]).max() > target / math.sqrt(2.0)
-            for rows in (dropped_m, dropped_k)
+            _column_norms(halo[rows]).max() > target / math.sqrt(2.0)
+            for rows in (layout.crosses, ~layout.crosses)
         )
         if miss_m or not miss_k:
             harmonics = min(2 * harmonics, op.harmonics)
@@ -270,12 +286,16 @@ def lowest_eigenpairs(
             f"eigensolver residual {worst:.3e} exceeds bound (operator scale {scale:.3e})"
         )
 
-    states = np.ascontiguousarray(vecs.T)
+    rows = layout.rows[:n]
+    current, dh_dfs = op.elements(layout)
+    kept = np.ascontiguousarray(vecs.T)
     for group in _degenerate_groups(vals):
         if len(group) > 1:
-            block = -states[group] @ (op.current @ states[group].T)
+            block = -kept[group] @ (current @ kept[group].T)
             _, rot = scipy.linalg.eigh(0.5 * (block + block.T))
-            states[group] = rot.T @ states[group]
+            kept[group] = rot.T @ kept[group]
+    states = np.zeros((k, dim))
+    states[:, rows] = kept
 
     for state in states:
         if state[np.argmax(np.abs(state))] < 0:
@@ -285,8 +305,9 @@ def lowest_eigenpairs(
         params=op.params,
         levels=vals.astype(float),
         states=states,
-        current=op.current,
-        dh_dfs=op.dh_dfs,
+        rows=rows,
+        current=current,
+        dh_dfs=dh_dfs,
         residuals=residuals,
         method="lanczos",
         shift=op.lower_bound,

@@ -5,7 +5,8 @@ between eigenstates, in units of ``I_c * Phi_w0`` (critical current times
 the vacuum flux amplitude).  The adiabaticity coefficient ``K_ij`` measures
 how slowly the SQUID flux must be ramped for the state to follow:
 ``K_ij * |d f_s/dt| << 1`` with the ramp rate in 1/ns.  Both are
-``|v_i . A v_j|`` with ``A`` the spectrum's ``current`` or ``dh_dfs``.
+``|v_i . A v_j|`` with ``A`` the spectrum's ``current`` or ``dh_dfs``, read
+on the solved block's rows, outside which the states are zero.
 
 ``point_record`` solves one ``(f, f_s)`` point and reads these off it; the
 flux sweeps are the CLI's spectral commands, one ``point_record`` per point.
@@ -32,9 +33,14 @@ __all__ = [
 DEGENERACY_FLOOR = 1e-6
 
 
+def _element(spec: EigenSpectrum, operator, i: int, j: int) -> float:
+    """``|v_i . A v_j|`` for an operator ``A`` on the spectrum's block."""
+    return float(abs(spec.states[i].take(spec.rows) @ (operator @ spec.states[j].take(spec.rows))))
+
+
 def transition_element(spec: EigenSpectrum, i: int, j: int) -> float:
     """``|<E_i| I(phi_p, phi_q) |E_j>|`` of the loop current."""
-    return float(abs(spec.states[i] @ (spec.current @ spec.states[j])))
+    return _element(spec, spec.current, i, j)
 
 
 def adiabatic_k(spec: EigenSpectrum, i: int, j: int) -> float:
@@ -60,8 +66,7 @@ def adiabatic_k(spec: EigenSpectrum, i: int, j: int) -> float:
         raise DegenerateGapError(
             f"levels {i},{j} separated by {abs(gap):.3e} E_J (< {DEGENERACY_FLOOR:.0e}): crossing"
         )
-    element = abs(spec.states[i] @ (spec.dh_dfs @ spec.states[j]))
-    return float(element / gap**2 / params.ej_freq)
+    return float(_element(spec, spec.dh_dfs, i, j) / gap**2 / params.ej_freq)
 
 
 @dataclass(frozen=True)

@@ -89,9 +89,9 @@ def test_02_screening_opens_the_upper_crossing():
     assert min_bare < 1e-3, f"bare upper-pair gap {min_bare:.3e} at f={_mirror_pair(at_bare)}"
     assert min_screened >= 10.0 * min_bare, (
         f"screened minimum {min_screened:.4e} at f={_mirror_pair(at_screened)} is NOT >= 10x "
-        f"the bare minimum {min_bare:.4e} at f={_mirror_pair(at_bare)}: the screened bands keep a "
-        f"narrow avoided crossing at the mirror points f~0.4625/0.5375 (depth ~2.9e-4) "
-        f"even though the gap at f=0.5 itself opens ~130x"
+        f"the bare minimum {min_bare:.4e} at f={_mirror_pair(at_bare)}: at the mirror points "
+        f"f~0.4625/0.5375 the screened levels 2 and 3 cross exactly, being of opposite phi_p "
+        f"parity, even though the gap at f=0.5 itself opens ~130x"
     )
 
 

@@ -171,12 +171,18 @@ def test_block_is_a_band_in_chain_order(shape, sector, cut):
     grid = PhaseGrid(*shape)
     op = assemble_hamiltonian(CircuitParams(f=0.47, f_s=0.22), grid, sector=sector)
     harmonics, momenta = (4, 3) if cut == "truncated" else (op.harmonics, op.momenta)
-    band, rows = op.block(harmonics, momenta)
-    keep = (op.row_harmonic <= harmonics) & (op.row_momentum <= momenta)
+    band, columns, layout = op.block(harmonics, momenta)
+    rows = layout.rows[: layout.kept]
+    keep = (op.parts.row_harmonic <= harmonics) & (op.parts.row_momentum <= momenta)
     assert np.array_equal(np.sort(rows), np.flatnonzero(keep))
-    # the CSR block is built here only, to check the band against it
+    assert np.array_equal(np.sort(rows)[layout.rank], rows)
+    # the CSR block is built here only, to check the band and the layout's
+    # columns against it
     block = op.matrix[rows][:, rows]
     assert np.array_equal(_band_to_dense(band), block.toarray())
+    assert np.array_equal(columns.toarray(), op.matrix[layout.rows][:, rows].toarray())
+    for got, full in zip(op.elements(layout), (op.current, op.dh_dfs)):
+        assert np.array_equal(got.toarray(), full[rows][:, rows].toarray())
 
     # chain order: the cosine chain (mode index 0, 1, 3, ...) before the sine
     # chain (2, 4, ...), and no entry between the two

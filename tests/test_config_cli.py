@@ -566,6 +566,8 @@ def test_missing_subcommand_exits_one(capsys):
         ("sweep", "sweep: {f_start: -1.0e+308, f_stop: 1.0e+308}", "sweep.f_start, sweep.f_stop"),
         ("fig2", "circuit: {ej_over_ec: 1.0e-300}", "circuit.ej_over_ec"),
         ("sweep", "sweep: {f_points: 1000000000000}", "sweep.f_points"),
+        ("fig2", "circuit: {n_p: 1026}", "circuit.n_p"),
+        ("sweep", "circuit: {n_q: 1000000000000}", "circuit.n_q"),
     ],
 )
 def test_rule_breaks_exit_one_before_solving(command, snippet, key, tmp_path, capsys, monkeypatch):
@@ -576,9 +578,10 @@ def test_rule_breaks_exit_one_before_solving(command, snippet, key, tmp_path, ca
     monkeypatch.setattr(cli, "steady_state_sqc", never)
     cfg = tmp_path / "cfg.yaml"
     # the grid joins a snippet's own circuit block: a second one would be a
-    # duplicate key
+    # duplicate key, and so would a grid key the snippet sets itself
     if snippet.startswith("circuit: {"):
-        cfg.write_text(snippet.replace("{", "{n_p: 41, n_q: 81, ", 1) + "\n")
+        grid = "".join(f"{k}: {v}, " for k, v in (("n_p", 41), ("n_q", 81)) if k not in snippet)
+        cfg.write_text(snippet.replace("{", "{" + grid, 1) + "\n")
     else:
         cfg.write_text("circuit: {n_p: 41, n_q: 81}\n" + snippet + "\n")
     out = tmp_path / "out"

@@ -16,7 +16,7 @@ from fluxmaser import (
     point_record,
     transition_element,
 )
-from fluxmaser import spectrum
+from fluxmaser import circuit, spectrum
 from fluxmaser.errors import ConvergenceError
 
 from .conftest import PRODUCTION_GRID, nan_eigenvector, random_operators
@@ -148,10 +148,20 @@ def test_sweep_deterministic():
 # -- certified phi_p harmonic and phi_q momentum truncation -------------------
 
 
+def _block_pairs(op, harmonics, momenta, k=6):
+    """The block's lowest eigenpairs, their vectors padded with zeros to the
+    full basis, the layout's columns of ``H`` and the layout."""
+    band, columns, layout = op.block(harmonics, momenta)
+    vals, vecs, _ = spectrum._solve_block(op, band, layout.rank, k, 0)
+    padded = np.zeros((op.dimension, k))
+    padded[layout.rows[: layout.kept]] = vecs
+    return vals, vecs, padded, columns, layout
+
+
 def _padded_residual(op, harmonics, momenta=None):
     """Largest full-operator residual of the zero-padded block eigenvectors."""
     momenta = op.momenta if momenta is None else momenta
-    vals, vecs, _ = spectrum._solve_block(op, 6, 0, harmonics, momenta)
+    vals, _, vecs, _, _ = _block_pairs(op, harmonics, momenta)
     return max(np.linalg.norm(op.matrix @ vecs[:, i] - vals[i] * vecs[:, i]) for i in range(6))
 
 
@@ -235,7 +245,7 @@ def test_momentum_cutoff_does_not_grow_with_n_q():
             start = time.process_time()
             spec = lowest_eigenpairs(op, 6)
             runs.append(time.process_time() - start)
-        kept.append((spec.harmonics, spec.momenta, op.block(spec.harmonics, spec.momenta)[1].size))
+        kept.append((spec.harmonics, spec.momenta, op.block(spec.harmonics, spec.momenta)[2].kept))
         seconds.append(min(runs))
         assert np.max(np.abs(spec.levels - full_basis_levels(op, 6))) < 1e-12
     assert kept[1][1] <= kept[0][1]
@@ -261,3 +271,62 @@ def test_truncated_solve_matches_full_basis(point, request, monkeypatch):
         )
     for i, j in ((0, 1), (1, 2)):
         assert adiabatic_k(spec, i, j) == pytest.approx(adiabatic_k(full, i, j), rel=1e-9)
+
+
+@pytest.mark.parametrize("cut", ["truncated", "below-top", "full"])
+@pytest.mark.parametrize("sector", ["even", "odd"])
+@pytest.mark.parametrize("shape", [(16, 32), (17, 34)], ids=["16x32", "17x34"])
+def test_halo_residual_is_the_full_operator_residual(shape, sector, cut):
+    # the gate reads H v - E v over the kept rows and their halo only; every
+    # other row of the padded residual is exactly zero, and each row adds the
+    # same non-zero products in the same order.  Below the top momentum the
+    # halo reaches the ring's fold (17x34's odd ring folds there), and the
+    # full basis has no halo
+    grid = PhaseGrid(*shape)
+    op = assemble_hamiltonian(CircuitParams(f=0.47, f_s=0.22), grid, sector=sector)
+    harmonics, momenta = {
+        "truncated": (4, 3), "below-top": (4, op.momenta - 1), "full": (op.harmonics, op.momenta)
+    }[cut]
+    vals, vecs, padded, columns, layout = _block_pairs(op, harmonics, momenta)
+    reference = op.matrix @ padded - padded * vals
+    misfit = spectrum._misfit(columns, layout.kept, vals, vecs)
+    assert np.array_equal(misfit, reference[layout.rows])
+    outside = np.ones(op.dimension, dtype=bool)
+    outside[layout.rows] = False
+    assert not np.any(reference[outside])
+    assert np.allclose(spectrum._column_norms(misfit), spectrum._column_norms(reference),
+                       rtol=1e-14, atol=0.0)
+    if cut == "full":
+        assert layout.rows.size == layout.kept == op.dimension
+        return
+    assert layout.rows.size > layout.kept
+    # the widening rule's split of the halo against the full-length masks
+    dropped_m = op.parts.row_harmonic > harmonics
+    dropped_k = ~dropped_m & (op.parts.row_momentum > momenta)
+    halo = misfit[layout.kept :]
+    for rows, mask in ((layout.crosses, dropped_m), (~layout.crosses, dropped_k)):
+        assert np.any(rows)
+        assert np.allclose(spectrum._column_norms(halo[rows]),
+                           spectrum._column_norms(reference[mask]), rtol=1e-14, atol=0.0)
+
+
+def test_a_point_builds_nothing_of_full_size(monkeypatch):
+    # the full operators are for oracles and tests: a point reads its block
+    weighted = circuit._weighted
+    params = CircuitParams(f=0.493, f_s=0.27)
+    op = assemble_hamiltonian(params, PRODUCTION)
+
+    def block_only(pattern, *args):
+        if pattern is op.parts.pattern:
+            raise AssertionError("a full-size operator was built")
+        return weighted(pattern, *args)
+
+    monkeypatch.setattr(circuit, "_weighted", block_only)
+    for name in ("matrix", "current", "dh_dfs"):
+        with pytest.raises(AssertionError, match="full-size"):
+            getattr(op, name)
+    record = point_record(params, PRODUCTION)
+    assert record.momenta < op.momenta
+    monkeypatch.setattr(spectrum, "_start_momenta", lambda params, grid: 4)
+    widened = lowest_eigenpairs(op, 6)
+    assert widened.momenta == 16 and widened.solves > record.solves
