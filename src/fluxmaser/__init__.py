@@ -24,8 +24,6 @@ _EXPORTS = {
     "PhaseGrid": "circuit",
     "HamiltonianOperator": "circuit",
     "assemble_hamiltonian": "circuit",
-    "potential": "circuit",
-    "circulating_current": "circuit",
     "EigenSpectrum": "spectrum",
     "lowest_eigenpairs": "spectrum",
     "PointRecord": "transitions",

@@ -27,15 +27,15 @@ modes.  ``H``, the loop current and ``dH/df_s`` are weightings, by the two
 fluxes, of one tagged pattern of parts that depends on neither, so a run
 builds that pattern once, and a point weights only the part of it that one
 kept block and its halo read.  Spectra and the elements of the loop current and
-of ``dH/df_s`` are computed in this basis; the position-basis
-assembly, the torus and the position-sampled states it is checked against
-live with the test oracles.
+of ``dH/df_s`` are computed in this basis; the potential and current
+profiles, the position-basis assembly, the torus and the position-sampled
+states it is checked against live with the test oracles.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Literal, NamedTuple
 
@@ -46,8 +46,6 @@ __all__ = [
     "CircuitParams",
     "PhaseGrid",
     "HamiltonianOperator",
-    "potential",
-    "circulating_current",
     "assemble_hamiltonian",
 ]
 
@@ -100,9 +98,6 @@ class CircuitParams:
     def c_q(self) -> float:
         return 8.0 / (self.ej_over_ec * (1.0 + 4.0 * self.gamma))
 
-    def replace(self, **kwargs) -> "CircuitParams":
-        return replace(self, **kwargs)
-
 
 @dataclass(frozen=True)
 class PhaseGrid:
@@ -134,29 +129,6 @@ class PhaseGrid:
     @property
     def phi_q_half_axis(self) -> np.ndarray:
         return -math.pi + self.h_q_half * np.arange(self.n_q_half)
-
-
-def potential(params: CircuitParams, phi_p, phi_q):
-    """Potential energy surface in units of E_J (vectorized over the phases)."""
-    phi_p = np.asarray(phi_p, dtype=float)
-    phi_q = np.asarray(phi_q, dtype=float)
-    term_main = 2.0 * (1.0 - np.cos(phi_p) * np.cos(math.pi * params.f + phi_q / 2.0))
-    term_squid = 2.0 * params.gamma * (
-        1.0 - math.cos(math.pi * params.f_s) * np.cos(phi_q)
-    )
-    return term_main + term_squid
-
-
-def circulating_current(params: CircuitParams, phi_p, phi_q):
-    """Loop current profile ``-cos(phi_p)*sin(pi*f + phi_q/2)`` in units of I_c.
-
-    Its matrix elements between energy eigenstates set the microwave
-    transition amplitudes; its expectation value is (up to ``-2*pi``) the
-    flux derivative of the energy.
-    """
-    phi_p = np.asarray(phi_p, dtype=float)
-    phi_q = np.asarray(phi_q, dtype=float)
-    return -np.cos(phi_p) * np.sin(math.pi * params.f + phi_q / 2.0)
 
 
 def _ring_momenta(n: int, twisted: bool) -> np.ndarray:
@@ -443,13 +415,14 @@ class HamiltonianOperator:
 
     ``matrix`` acts on coefficient vectors over (trigonometric ``phi_p``
     mode, real ``phi_q`` momentum row), momentum fastest; an l2-unit vector
-    is a unit-normalised wavefunction.  ``current`` (the loop current
-    :func:`circulating_current`) and ``dh_dfs`` (``dH/df_s``) act in the
-    same basis.  The three are built on first use, as weightings of the
-    run's tagged parts; a solve reads only :meth:`block`.  ``lower_bound``
-    is a floor on the spectrum: every eigenvalue of ``matrix`` is at least
-    this value.  ``scale`` is the operator's infinity norm in the position
-    basis (mode, ring site), the scale of the eigensolver's residual gate.
+    is a unit-normalised wavefunction.  It is built on first use, as a
+    weighting of the run's tagged parts; a solve reads only :meth:`block`
+    and, on the kept block, :meth:`elements`: the loop current
+    ``-cos(phi_p) sin(pi f + phi_q/2)`` and ``dH/df_s`` in the same basis.
+    ``lower_bound`` is a floor on the spectrum: every eigenvalue of
+    ``matrix`` is at least this value.  ``scale`` is the operator's infinity
+    norm in the position basis (mode, ring site), the scale of the
+    eigensolver's residual gate.
     Which rows carry half-integer momenta depends on ``sector``.
     """
 
@@ -467,14 +440,6 @@ class HamiltonianOperator:
     @cached_property
     def matrix(self) -> sp.csr_matrix:
         return _weighted(self.parts.pattern, _part_weights(self.params)[0], self.dimension)
-
-    @cached_property
-    def current(self) -> sp.csr_matrix:
-        return _weighted(self.parts.pattern, _part_weights(self.params)[1], self.dimension)
-
-    @cached_property
-    def dh_dfs(self) -> sp.csr_matrix:
-        return _weighted(self.parts.pattern, _part_weights(self.params)[2], self.dimension)
 
     @property
     def harmonics(self) -> int:
@@ -551,17 +516,18 @@ def assemble_hamiltonian(
     depends on neither flux; the parts are built once per ``(circuit, grid,
     sector)``, and the last ones built are kept, so every point of a run
     shares them.  Assembly itself builds no matrix: it computes the two
-    closed forms below, and ``matrix``, ``current`` and ``dh_dfs`` weight
-    the parts on first use, over the whole pattern or, through
-    :meth:`HamiltonianOperator.block`, over one kept block and its halo.
+    closed forms below.  ``matrix`` weights the whole pattern on first use;
+    :meth:`HamiltonianOperator.block` weights one kept block and its halo,
+    and :meth:`HamiltonianOperator.elements` the loop current and
+    ``dH/df_s`` on that block.
 
     ``lower_bound`` is ``min(U(phi_q) - 2 |cos(pi f + phi_q/2)|)`` over the
     ring sites, the grid minimum of the potential at ``cos(phi_p) = +-1``,
-    and ``scale`` the position-basis infinity norm.  ``current`` is ``-L (x)
-    diag(sin(pi f + phi_q/2))``, the parts weighted by ``(0, sin(pi f)/2,
-    -cos(pi f)/2, 0)``, and ``dh_dfs`` the diagonal ``2 pi gamma sin(pi
-    f_s) cos(phi_q)`` on every mode, the ``cos(theta)`` part weighted by
-    ``-2 pi gamma sin(pi f_s)``; both are in the momentum basis.
+    and ``scale`` the position-basis infinity norm.  The loop current is
+    ``-L (x) diag(sin(pi f + phi_q/2))``, the parts weighted by ``(0, sin(pi
+    f)/2, -cos(pi f)/2, 0)``, and ``dH/df_s`` the diagonal ``2 pi gamma
+    sin(pi f_s) cos(phi_q)`` on every mode, the ``cos(theta)`` part weighted
+    by ``-2 pi gamma sin(pi f_s)``; both are in the momentum basis.
     """
     if sector not in ("even", "odd"):
         raise ValueError(f"sector must be 'even' or 'odd', got {sector!r}")

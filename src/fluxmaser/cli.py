@@ -24,6 +24,7 @@ import os
 import sys
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from contextlib import contextmanager
+from dataclasses import replace
 from functools import partial
 from itertools import islice
 from multiprocessing import get_context
@@ -242,7 +243,7 @@ def cmd_spectral(command: str, cfg: RunConfig, out_dir: str, workers: int) -> in
         files = [(command, [], f_s_values)]
     base = CircuitParams(gamma=c.gamma, ej_over_ec=c.ej_over_ec, ej_freq=c.ej_freq)
     tasks = [
-        base.replace(f=float(f), f_s=float(f_s))
+        replace(base, f=float(f), f_s=float(f_s))
         for *_, group in files
         for f_s in group
         for f in f_axis

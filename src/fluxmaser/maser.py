@@ -61,10 +61,6 @@ class MaserConfig:
         if self.n_max < 4:
             raise ValueError(f"n_max must be >= 4, got {self.n_max}")
 
-    @property
-    def tau_int(self) -> float:
-        return self.g_tau * math.sqrt(self.n_t)
-
     @classmethod
     def from_interaction_time(
         cls, n_t: float, tau_int: float, *, n_th: float = 0.1, n_max: int = 256

@@ -35,9 +35,9 @@ harmonic cut, ``K`` where it lies in the others), up to the full basis.
 The gate's scale is the operator's infinity norm in the position basis,
 ``HamiltonianOperator.scale``, since that norm is not basis-invariant.
 ``EigenSpectrum.harmonics`` and ``EigenSpectrum.momenta`` report the ``M``
-and ``K`` kept.  The states are the operator's coefficient vectors, zero
-outside the block, so elements are read on the block with its ``current``
-and ``dh_dfs``.
+and ``K`` kept.  A state is held over the block's rows only, every other
+coefficient being zero, so elements are read on the block with its
+``current`` and ``dh_dfs``.
 """
 
 from __future__ import annotations
@@ -70,18 +70,19 @@ COEFF_FLOOR = 1e-12
 class EigenSpectrum:
     """Lowest eigenlevels and real eigenstates in the operator's basis.
 
-    ``levels`` are ascending, in units of E_J.  ``states[i]`` is the l2-unit
-    coefficient vector of level ``i`` in the operator's basis, its largest
-    component positive; it is zero outside the solved block's ``rows``
-    (basis indices, in the block's chain order).  ``current`` and ``dh_dfs``
-    are the operator's on that block, acting on ``states[:, rows]``.
-    ``residuals`` are the solver residual norms ``|H v - E v|`` of the full
-    operator, with the coefficients outside the block zero, before any
-    degenerate-cluster rotation.  ``method`` names the solver route, always
-    ``"lanczos"``; ``shift`` is the shift-invert point, below ``levels[0]``,
-    and ``solves`` counts the factorised solves the Lanczos iterations asked
-    for.  ``harmonics`` is the highest ``phi_p`` harmonic the accepted solve
-    kept (``(n_p - 1)//2`` for the full basis), and ``momenta`` the highest
+    ``levels`` are ascending, in units of E_J.  ``states`` is a ``(k,
+    rows.size)`` array: ``states[i]`` holds the coefficients of level ``i``
+    on the solved block's ``rows`` (basis indices, in the block's chain
+    order), l2-unit, its largest component positive; every other coefficient
+    in the operator's basis is zero.  ``current`` and ``dh_dfs`` are the
+    operator's on that block, acting on ``states[i]``.  ``residuals`` are
+    the solver residual norms ``|H v - E v|`` of the full operator, with
+    the coefficients outside the block zero, before any degenerate-cluster
+    rotation.  ``method`` names the solver route, always ``"lanczos"``;
+    ``shift`` is the shift-invert point, below ``levels[0]``, and ``solves``
+    counts the factorised solves the Lanczos iterations asked for.
+    ``harmonics`` is the highest ``phi_p`` harmonic the accepted solve kept
+    (``(n_p - 1)//2`` for the full basis), and ``momenta`` the highest
     ``phi_q`` momentum ``|kappa|`` (``(n_q_half + 1)//2`` for the full basis).
     """
 
@@ -97,13 +98,6 @@ class EigenSpectrum:
     solves: int
     harmonics: int
     momenta: int
-
-    @property
-    def k(self) -> int:
-        return self.levels.size
-
-    def gap(self, i: int, j: int) -> float:
-        return float(self.levels[j] - self.levels[i])
 
 
 @lru_cache(maxsize=16)
@@ -249,9 +243,6 @@ def lowest_eigenpairs(
     """
     if not 1 <= k <= MAX_K:
         raise ValueError(f"k must be between 1 and {MAX_K}, got {k}")
-    dim = op.dimension
-    if k >= dim:
-        raise ValueError(f"k={k} too large for operator dimension {dim}")
 
     scale = op.scale
     bound = _residual_bound(scale)
@@ -286,17 +277,13 @@ def lowest_eigenpairs(
             f"eigensolver residual {worst:.3e} exceeds bound (operator scale {scale:.3e})"
         )
 
-    rows = layout.rows[:n]
     current, dh_dfs = op.elements(layout)
-    kept = np.ascontiguousarray(vecs.T)
+    states = np.ascontiguousarray(vecs.T)
     for group in _degenerate_groups(vals):
         if len(group) > 1:
-            block = -kept[group] @ (current @ kept[group].T)
+            block = -states[group] @ (current @ states[group].T)
             _, rot = scipy.linalg.eigh(0.5 * (block + block.T))
-            kept[group] = rot.T @ kept[group]
-    states = np.zeros((k, dim))
-    states[:, rows] = kept
-
+            states[group] = rot.T @ states[group]
     for state in states:
         if state[np.argmax(np.abs(state))] < 0:
             state *= -1.0
@@ -305,7 +292,7 @@ def lowest_eigenpairs(
         params=op.params,
         levels=vals.astype(float),
         states=states,
-        rows=rows,
+        rows=layout.rows[:n],
         current=current,
         dh_dfs=dh_dfs,
         residuals=residuals,

@@ -5,8 +5,9 @@ between eigenstates, in units of ``I_c * Phi_w0`` (critical current times
 the vacuum flux amplitude).  The adiabaticity coefficient ``K_ij`` measures
 how slowly the SQUID flux must be ramped for the state to follow:
 ``K_ij * |d f_s/dt| << 1`` with the ramp rate in 1/ns.  Both are
-``|v_i . A v_j|`` with ``A`` the spectrum's ``current`` or ``dh_dfs``, read
-on the solved block's rows, outside which the states are zero.
+``|v_i . A v_j|`` with ``v`` the spectrum's states and ``A`` its ``current``
+or ``dh_dfs``, all on the solved block's rows, outside which the states are
+zero.
 
 ``point_record`` solves one ``(f, f_s)`` point and reads these off it; the
 flux sweeps are the CLI's spectral commands, one ``point_record`` per point.
@@ -35,7 +36,7 @@ DEGENERACY_FLOOR = 1e-6
 
 def _element(spec: EigenSpectrum, operator, i: int, j: int) -> float:
     """``|v_i . A v_j|`` for an operator ``A`` on the spectrum's block."""
-    return float(abs(spec.states[i].take(spec.rows) @ (operator @ spec.states[j].take(spec.rows))))
+    return float(abs(spec.states[i] @ (operator @ spec.states[j])))
 
 
 def transition_element(spec: EigenSpectrum, i: int, j: int) -> float:

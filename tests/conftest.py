@@ -80,3 +80,12 @@ def nan_eigenvector(monkeypatch, f=None):
         return vals, vecs, used
 
     monkeypatch.setattr(spectrum, "_solve_block", poisoned)
+
+
+def arpack_no_convergence(monkeypatch):
+    """Make every ARPACK call of the eigensolver end unconverged."""
+
+    def unconverged(*args, **kwargs):
+        raise spectrum.spla.ArpackNoConvergence("No convergence", np.zeros(0), np.zeros((0, 0)))
+
+    monkeypatch.setattr(spectrum.spla, "eigsh", unconverged)

@@ -14,10 +14,53 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh, expm
 
-from fluxmaser.circuit import potential
+from fluxmaser.circuit import _part_weights, _weighted
 from fluxmaser.errors import TruncationWarning
 from fluxmaser.lindblad import TOP_LEVEL_TOL
 from fluxmaser.maser import MaserConfig
+
+
+def potential(params, phi_p, phi_q):
+    """Potential energy surface in units of E_J (vectorized over the phases)."""
+    phi_p = np.asarray(phi_p, dtype=float)
+    phi_q = np.asarray(phi_q, dtype=float)
+    term_main = 2.0 * (1.0 - np.cos(phi_p) * np.cos(math.pi * params.f + phi_q / 2.0))
+    term_squid = 2.0 * params.gamma * (
+        1.0 - math.cos(math.pi * params.f_s) * np.cos(phi_q)
+    )
+    return term_main + term_squid
+
+
+def circulating_current(params, phi_p, phi_q):
+    """Loop current profile ``-cos(phi_p)*sin(pi*f + phi_q/2)`` in units of I_c.
+
+    Its matrix elements between energy eigenstates set the microwave
+    transition amplitudes; its expectation value is (up to ``-2*pi``) the
+    flux derivative of the energy.
+    """
+    phi_p = np.asarray(phi_p, dtype=float)
+    phi_q = np.asarray(phi_q, dtype=float)
+    return -np.cos(phi_p) * np.sin(math.pi * params.f + phi_q / 2.0)
+
+
+def full_elements(op):
+    """The loop current and ``dH/df_s`` over the operator's whole pattern.
+
+    The library weights these parts on a solved block only; the full CSR
+    forms are what its block slices and the position-basis assembly are
+    compared against.
+    """
+    weights = _part_weights(op.params)
+    return tuple(_weighted(op.parts.pattern, w, op.dimension) for w in weights[1:])
+
+
+def full_states(spec, grid):
+    """The spectrum's states as vectors over the whole sector basis of
+    ``grid``, zero outside the solved block's ``rows``."""
+    n_modes = 2 * ((grid.n_p - 1) // 2) + 1
+    full = np.zeros((spec.levels.size, n_modes * grid.n_q_half))
+    full[:, spec.rows] = spec.states
+    return full
 
 
 def torus_axes(grid):

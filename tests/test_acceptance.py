@@ -48,11 +48,11 @@ def test_01_working_gap_at_operating_point():
     start = time.perf_counter()
     spec = solve_point(0.493, 0.27, k=2)
     per_point = time.perf_counter() - start
-    gap = spec.gap(0, 1)
+    gap = spec.levels[1] - spec.levels[0]
     assert gap == pytest.approx(0.05, rel=0.20), f"gap {gap:.6f} outside 0.05 +/- 20%"
 
     fine = solve_point(0.493, 0.27, k=2, grid=(161, 321))
-    shift = abs(fine.gap(0, 1) - gap) / gap
+    shift = abs(fine.levels[1] - fine.levels[0] - gap) / gap
     assert shift < 0.02, f"refinement moved the gap by {shift:.2%}"
     assert per_point < 30.0, f"single point took {per_point:.1f}s"
 

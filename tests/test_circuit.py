@@ -1,5 +1,6 @@
 """Potential landscape, circulating current, and Hamiltonian assembly."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,18 +15,19 @@ from fluxmaser import (
     CircuitParams,
     PhaseGrid,
     assemble_hamiltonian,
-    circulating_current,
     lowest_eigenpairs,
     point_record,
-    potential,
 )
 from fluxmaser.circuit import _fixed_parts
 
 from .conftest import random_operators
 from .oracles import (
+    circulating_current,
     dense_levels,
+    full_elements,
     momentum_transform,
     position_hamiltonian,
+    potential,
     ring_transform,
     sector_hamiltonian_dense,
     torus_axes,
@@ -150,9 +152,10 @@ def test_momentum_operators_are_the_transformed_position_assembly(shape, sector)
         p = CircuitParams(gamma=0.7, f=f, f_s=f_s)
         op = assemble_hamiltonian(p, grid, sector=sector)
         references = position_hamiltonian(p, grid, sector)
-        for name, reference in zip(("matrix", "current", "dh_dfs"), references):
-            got = getattr(op, name).toarray()
-            assert np.max(np.abs(got - q.T @ reference.toarray() @ q)) < 1e-13, (f, f_s, name)
+        operators = (op.matrix, *full_elements(op))
+        for name, got, reference in zip(("matrix", "current", "dh_dfs"), operators, references):
+            error = np.max(np.abs(got.toarray() - q.T @ reference.toarray() @ q))
+            assert error < 1e-13, (f, f_s, name)
 
 
 def _band_to_dense(band):
@@ -181,7 +184,7 @@ def test_block_is_a_band_in_chain_order(shape, sector, cut):
     block = op.matrix[rows][:, rows]
     assert np.array_equal(_band_to_dense(band), block.toarray())
     assert np.array_equal(columns.toarray(), op.matrix[layout.rows][:, rows].toarray())
-    for got, full in zip(op.elements(layout), (op.current, op.dh_dfs)):
+    for got, full in zip(op.elements(layout), full_elements(op)):
         assert np.array_equal(got.toarray(), full[rows][:, rows].toarray())
 
     # chain order: the cosine chain (mode index 0, 1, 3, ...) before the sine
@@ -226,7 +229,7 @@ def test_point_after_other_screening_fluxes_matches_a_fresh_build():
 
     _fixed_parts.cache_clear()
     for f_s in (0.0, 0.15, 0.22):
-        point_record(params.replace(f_s=f_s), grid)
+        point_record(dataclasses.replace(params, f_s=f_s), grid)
     shared = solve()
     _fixed_parts.cache_clear()
     fresh = solve()

@@ -21,7 +21,7 @@ from fluxmaser.cli import BLAS_THREAD_ENV, _fmt, _parallel_map, main
 from fluxmaser.config import config_digest, load_config
 from fluxmaser.errors import ConfigError, ConvergenceError
 
-from .conftest import nan_eigenvector
+from .conftest import arpack_no_convergence, nan_eigenvector
 
 TINY_CONFIG = """\
 circuit:
@@ -114,17 +114,22 @@ def test_unknown_keys_rejected(tmp_path):
         ("sweep: {k: 5}\nsweep: {f_points: 3}\n", r"^sweep: duplicate key"),
         # an alias into its own anchor ends the key walk rather than recursing
         ("sweep: &a [*a]\n", r"^section 'sweep' must be a mapping"),
+        ("circuit: [1,\n", r"^cannot parse \S*cfg\.yaml: while parsing"),
+        ("- circuit\n- sweep\n", r"^top level of \S*cfg\.yaml must be a mapping"),
     ],
-    ids=["nested-key", "top-level-block", "self-alias"],
+    ids=["nested-key", "top-level-block", "self-alias", "unparsable", "not-a-mapping"],
 )
 def test_duplicate_keys_exit_one(text, message, tmp_path, capsys):
-    # YAML's plain loader keeps the last value, and the digest hashes only that one
+    # YAML's plain loader keeps the last value, and the digest hashes only that
+    # one; a file that is no YAML mapping at all fails the same way
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(text)
     with pytest.raises(ConfigError, match=message):
         load_config(cfg)
     assert main(["fig2", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
-    assert re.search(message.lstrip("^"), capsys.readouterr().err)
+    err = capsys.readouterr().err
+    assert re.search(message.lstrip("^"), err)
+    assert err.startswith("error: ") and err.count("error:") == 1 and "Traceback" not in err
     assert not list(tmp_path.rglob("*.csv"))
 
 
@@ -620,6 +625,18 @@ def test_nan_residual_point_is_logged_not_written(tiny_config, tmp_path, capsys,
     _, _, rows = read_rows(out / "sweep_fs_0.27.csv")
     assert [row[0] for row in rows] == ["0.48", "0.5"]
     assert "nan" not in (out / "sweep_fs_0.27.csv").read_text()
+
+
+def test_arpack_failure_is_logged_and_exits_two(tiny_config, tmp_path, capsys, monkeypatch):
+    arpack_no_convergence(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(tiny_config), "--out", str(out), "--workers", "1"]) == 2
+    assert "3/3 sweep points failed" in capsys.readouterr().err
+    log = (out / "sweep_fs_0.27_failures.log").read_text().splitlines()
+    assert log == [
+        f"f={f:.6g} f_s=0.27: ConvergenceError: ARPACK error -1: No convergence"
+        for f in (0.48, 0.49, 0.5)
+    ]
 
 
 def test_other_point_errors_propagate_without_csv(tiny_config, tmp_path, monkeypatch):

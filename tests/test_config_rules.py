@@ -6,6 +6,7 @@ either fails to load with a message naming one of its keys, or yields a
 configuration every command can set up without error.
 """
 
+import inspect
 import math
 from dataclasses import fields
 
@@ -14,8 +15,8 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluxmaser import CircuitParams, PhaseGrid, spectrum
-from fluxmaser.config import _BLOCKS, SweepBlock, load_config
+from fluxmaser import CircuitParams, PhaseGrid, assemble_hamiltonian, spectrum
+from fluxmaser.config import _BLOCKS, CircuitBlock, SweepBlock, load_config
 from fluxmaser.errors import ConfigError
 from fluxmaser.lindblad import step_count
 
@@ -34,6 +35,16 @@ def test_every_number_field_declares_a_rule():
                 assert f.type == RULELESS[key] and "rule" not in f.metadata, key
             else:
                 assert f.type in NUMBER_TYPES and "rule" in f.metadata, key
+
+
+def test_circuit_defaults_are_the_library_defaults():
+    # perfbench's gate solves its reference points from CircuitParams(f, f_s),
+    # PhaseGrid(*grid) and the default sector, so those must be the config's
+    block, params, grid = CircuitBlock(), CircuitParams(), PhaseGrid()
+    for name in ("gamma", "ej_over_ec", "ej_freq"):
+        assert getattr(block, name) == getattr(params, name), name
+    assert (block.n_p, block.n_q) == (grid.n_p, grid.n_q)
+    assert block.sector == inspect.signature(assemble_hamiltonian).parameters["sector"].default
 
 
 def test_blocks_built_without_yaml_are_checked():

@@ -54,14 +54,14 @@ def test_validate_density_matrix_rejects_defects():
     rho = thermal_state(0.4, 8)
     lopsided = rho.copy()
     lopsided[0, 1] += 1e-6
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation, match="hermiticity"):
         validate_density_matrix(lopsided)
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation, match="trace"):
         validate_density_matrix(rho * 1.001)
     negative = rho.copy()
+    negative[0, 0] += negative[8, 8] + 1e-6  # the trace stays 1
     negative[8, 8] = -1e-6
-    negative[0, 0] += 1e-6
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation, match="population -1.000e-06 below floor"):
         validate_density_matrix(negative)
 
 

@@ -15,6 +15,7 @@ from fluxmaser import (
     steady_state_atomic,
     steady_state_sqc,
 )
+from fluxmaser import maser
 from fluxmaser.errors import InvariantViolation
 
 
@@ -42,7 +43,7 @@ def test_config_validation():
 def test_interaction_time_round_trip():
     cfg = MaserConfig.from_interaction_time(100.0, 10 * math.pi, n_th=0.1)
     assert cfg.g_tau == pytest.approx(math.pi)
-    assert cfg.tau_int == pytest.approx(10 * math.pi)
+    assert cfg.g_tau * math.sqrt(cfg.n_t) == pytest.approx(10 * math.pi)
     with pytest.raises(ValueError):
         MaserConfig.from_interaction_time(0.0, math.pi)
 
@@ -191,6 +192,12 @@ def test_headline_point_not_flagged_unstable(n_max):
     assert dist.clamped_count > (n_max + 1) / 10
     assert dist.clamped_mass == pytest.approx(1.98e-6, rel=0.01)
     assert not dist.unstable
+
+
+@pytest.mark.parametrize("raw", [np.zeros(5), -np.ones(5)], ids=["zero", "negative"])
+def test_finalize_refuses_a_distribution_without_mass(raw):
+    with pytest.raises(InvariantViolation, match="cannot be normalized"):
+        maser._finalize(raw, "recursion-sqc")
 
 
 def test_distribution_type_rejects_bad_vectors():

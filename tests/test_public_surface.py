@@ -24,8 +24,7 @@ MODULES = [fluxmaser] + [
 # to this list, not a side effect
 PUBLIC_NAMES = [
     "__version__",
-    "CircuitParams", "PhaseGrid", "HamiltonianOperator", "assemble_hamiltonian", "potential",
-    "circulating_current",
+    "CircuitParams", "PhaseGrid", "HamiltonianOperator", "assemble_hamiltonian",
     "EigenSpectrum", "lowest_eigenpairs",
     "PointRecord", "point_record", "transition_element", "adiabatic_k",
     "MaserConfig", "PhotonDistribution", "steady_state_sqc", "steady_state_atomic",

@@ -1,6 +1,7 @@
 """Eigensolver contracts: ordering, orthonormality, determinism, sweeps."""
 
 import dataclasses
+import pickle
 import time
 
 import numpy as np
@@ -19,7 +20,7 @@ from fluxmaser import (
 from fluxmaser import circuit, spectrum
 from fluxmaser.errors import ConvergenceError
 
-from .conftest import PRODUCTION_GRID, nan_eigenvector, random_operators
+from .conftest import PRODUCTION_GRID, arpack_no_convergence, nan_eigenvector, random_operators
 from .oracles import dense_levels, full_basis_levels, position_hamiltonian
 
 COARSE = PhaseGrid(41, 81)
@@ -39,7 +40,7 @@ def test_levels_sorted_ascending(coarse_spec):
 
 def test_states_orthonormal(coarse_spec):
     gram = coarse_spec.states @ coarse_spec.states.T
-    assert np.max(np.abs(gram - np.eye(coarse_spec.k))) < 1e-12
+    assert np.max(np.abs(gram - np.eye(coarse_spec.levels.size))) < 1e-12
 
 
 def test_states_real_with_positive_anchor(coarse_spec):
@@ -103,6 +104,20 @@ def test_nan_residual_fails_the_gate(monkeypatch):
         lowest_eigenpairs(op, 4)
 
 
+def test_arpack_failure_is_a_picklable_convergence_error(monkeypatch):
+    # a sweep worker hands a failed point back pickled, and ARPACK's own
+    # exception cannot be unpickled
+    unpicklable = spla.ArpackNoConvergence("No convergence", np.zeros(0), np.zeros((0, 0)))
+    with pytest.raises(TypeError):
+        pickle.loads(pickle.dumps(unpicklable))
+    arpack_no_convergence(monkeypatch)
+    op = assemble_hamiltonian(CircuitParams(f=0.493, f_s=0.27), PhaseGrid(16, 32))
+    with pytest.raises(ConvergenceError, match="ARPACK error -1: No convergence") as failure:
+        lowest_eigenpairs(op, 4)
+    copy = pickle.loads(pickle.dumps(failure.value))
+    assert type(copy) is ConvergenceError and str(copy) == str(failure.value)
+
+
 def test_shift_above_the_ground_state_fails_the_factor(coarse_spec):
     # H - shift I is indefinite once the shift passes a level: the solve must
     # raise, a RuntimeError that a sweep logs as a failed point, and never
@@ -115,12 +130,12 @@ def test_shift_above_the_ground_state_fails_the_factor(coarse_spec):
 
 
 def test_gap_at_operating_point(spec_resonant):
-    gap = spec_resonant.gap(0, 1)
+    gap = spec_resonant.levels[1] - spec_resonant.levels[0]
     assert 0.04 <= gap <= 0.06
 
 
 def test_upper_pair_nearly_touches_at_symmetric_point(spec_crossing):
-    assert spec_crossing.gap(2, 3) < 1e-3
+    assert spec_crossing.levels[3] - spec_crossing.levels[2] < 1e-3
 
 
 def _sweep_levels(f_s, f_values):
@@ -322,11 +337,12 @@ def test_a_point_builds_nothing_of_full_size(monkeypatch):
         return weighted(pattern, *args)
 
     monkeypatch.setattr(circuit, "_weighted", block_only)
-    for name in ("matrix", "current", "dh_dfs"):
-        with pytest.raises(AssertionError, match="full-size"):
-            getattr(op, name)
+    with pytest.raises(AssertionError, match="full-size"):
+        op.matrix
     record = point_record(params, PRODUCTION)
     assert record.momenta < op.momenta
     monkeypatch.setattr(spectrum, "_start_momenta", lambda params, grid: 4)
     widened = lowest_eigenpairs(op, 6)
     assert widened.momenta == 16 and widened.solves > record.solves
+    # the states are held on the solved block only
+    assert widened.states.shape == (6, widened.rows.size) and widened.rows.size < op.dimension

@@ -12,17 +12,15 @@ from fluxmaser import (
     PhaseGrid,
     adiabatic_k,
     assemble_hamiltonian,
-    circulating_current,
     lowest_eigenpairs,
     point_record,
-    potential,
     transition_element,
 )
 from fluxmaser import spectrum
 from fluxmaser.errors import DegenerateGapError
 
 from .conftest import PRODUCTION_GRID, random_operators
-from .oracles import position_element, torus_axes
+from .oracles import circulating_current, full_states, position_element, potential, torus_axes
 
 COARSE = PhaseGrid(41, 81)
 PRODUCTION = PhaseGrid(*PRODUCTION_GRID)
@@ -97,7 +95,7 @@ def test_ramp_coefficients_at_operating_point(spec_resonant):
 def _screening_derivative(params, pp, qq):
     # U depends on f_s only through cos(pi f_s), affinely, so its slope in
     # cos(pi f_s) is half the difference between f_s = 0 and f_s = 1
-    at_0, at_1 = (potential(params.replace(f_s=f_s), pp, qq) for f_s in (0.0, 1.0))
+    at_0, at_1 = (potential(dataclasses.replace(params, f_s=f_s), pp, qq) for f_s in (0.0, 1.0))
     return -math.pi * math.sin(math.pi * params.f_s) * (at_0 - at_1) / 2
 
 
@@ -117,12 +115,14 @@ def test_elements_match_position_quadrature(request):
         pp, qq = np.meshgrid(torus_axes(grid)[0], grid.phi_q_half_axis, indexing="ij")
         current = circulating_current(spec.params, pp, qq)
         d_u = _screening_derivative(spec.params, pp, qq)
-        for i, j in itertools.combinations(range(spec.k), 2):
-            a, b = spec.states[i], spec.states[j]
+        states = full_states(spec, grid)
+        for i, j in itertools.combinations(range(spec.levels.size), 2):
+            a, b = states[i], states[j]
             quad = abs(position_element(grid, current, a, b, sector))
             assert abs(transition_element(spec, i, j) - quad) < 1e-12, f"{label}: t_{i}{j}"
+            gap = spec.levels[j] - spec.levels[i]
             try:
-                numerator = adiabatic_k(spec, i, j) * spec.gap(i, j) ** 2 * spec.params.ej_freq
+                numerator = adiabatic_k(spec, i, j) * gap**2 * spec.params.ej_freq
             except DegenerateGapError:
                 continue
             quad = abs(position_element(grid, d_u, a, b, sector))
@@ -132,7 +132,7 @@ def test_elements_match_position_quadrature(request):
                 continue
             rotated += 1
             block = np.array(
-                [[-position_element(grid, current, spec.states[a], spec.states[b], sector)
+                [[-position_element(grid, current, states[a], states[b], sector)
                   for b in group]
                  for a in group]
             )
@@ -170,9 +170,10 @@ def test_ramp_numerator_matches_finite_difference():
     op = assemble_hamiltonian(params, COARSE)
     spec = lowest_eigenpairs(op, 3)
     delta = 1e-4
-    shifted = assemble_hamiltonian(params.replace(f_s=params.f_s + delta), COARSE)
-    fd = abs(spec.states[0] @ ((shifted.matrix - op.matrix) @ spec.states[1])) / delta
-    analytic = adiabatic_k(spec, 0, 1) * spec.gap(0, 1) ** 2 * params.ej_freq
+    shifted = assemble_hamiltonian(dataclasses.replace(params, f_s=params.f_s + delta), COARSE)
+    states = full_states(spec, COARSE)
+    fd = abs(states[0] @ ((shifted.matrix - op.matrix) @ states[1])) / delta
+    analytic = adiabatic_k(spec, 0, 1) * (spec.levels[1] - spec.levels[0]) ** 2 * params.ej_freq
     assert fd == pytest.approx(analytic, rel=1e-3)
 
 
@@ -191,6 +192,11 @@ def test_table_columns_finite_with_screening():
     for r in _records(0.22, [0.47, 0.48]):
         for value in (r.levels[1] - r.levels[0], r.t_01, r.t_02, r.t_12, r.k_01, r.k_12):
             assert np.isfinite(value)
+
+
+def test_point_record_needs_three_levels():
+    with pytest.raises(ValueError, match="k must be at least 3"):
+        point_record(CircuitParams(f=0.48, f_s=0.22), COARSE, k=2)
 
 
 def test_point_record_keeps_solver_diagnostics():
