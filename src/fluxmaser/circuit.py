@@ -191,10 +191,11 @@ class _FixedParts:
     and ``dH/df_s`` are weightings of the same parts, so nothing here
     depends on ``f`` or ``f_s``, and one object serves every point of a
     circuit, grid and sector.  ``row_harmonic`` and ``row_momentum`` give
-    each basis row's ``phi_p`` harmonic and ``|kappa|``.  The layouts of
-    the kept blocks (:meth:`block`) are worked out once per cutoff and
-    kept.  Every array is read-only, since the operators of all points
-    share them.
+    each basis row's ``phi_p`` harmonic and ``|kappa|``, and ``harmonics``
+    and ``momenta`` the basis caps: its highest harmonic, and the smallest
+    integer at or above every row's ``|kappa|``.  The layouts of the kept blocks
+    (:meth:`block`) are worked out once per cutoff and kept.  Every array is
+    read-only, since the operators of all points share them.
     """
 
     def __init__(self, params: CircuitParams, grid: PhaseGrid, sector: str) -> None:
@@ -204,6 +205,7 @@ class _FixedParts:
         ms = (np.arange(2 * ((grid.n_p - 1) // 2) + 1) + 1) // 2
         n_modes, n, h = ms.size, grid.n_q_half, grid.h_q_half
         self.dim = n_modes * n
+        self.harmonics, self.momenta = int(ms[-1]), (n + 1) // 2
         # the ring of mode m closes with sigma (-1)^m: twisted where that is -1
         twisted = sigma * (1 - 2 * (ms % 2)) < 0
         flat = np.where(twisted[:, None], _ring_momenta(n, True), _ring_momenta(n, False))
@@ -276,13 +278,24 @@ class _FixedParts:
         self.blocks: dict[tuple[int, int], _Block] = {}
 
     def block(self, harmonics: int, momenta: int) -> _Block:
-        """Layout of the kept block ``m <= harmonics``, ``|kappa| <= momenta``.
+        """Layout of the kept block of the cut ``M = harmonics``, ``K = momenta``.
 
-        Worked out once per cutoff and kept; see :class:`_Block`.
+        The cut keeps the ellipse ``(m/M)^2 + (|kappa|/K)^2 <= 1``: the
+        starting cutoffs put the harmonic and the momentum estimate of the
+        low states' coefficients, each a Gaussian, at the coefficient floor
+        at ``M`` and ``K``, so their product is at the floor on the ellipse,
+        not at the corners of the rectangle ``m <= M``, ``|kappa| <= K``.
+        The cut at both basis caps keeps every row.  Worked out once per
+        cutoff and kept; see :class:`_Block`.
         """
         key = (harmonics, momenta)
         if key not in self.blocks:
-            keep = (self.row_harmonic <= harmonics) & (self.row_momentum <= momenta)
+            # m/M and |kappa|/K, both times 2 M K, in integers, so that a row on
+            # the ellipse is kept exactly
+            u = 2 * momenta * self.row_harmonic
+            v = harmonics * (2.0 * self.row_momentum).astype(np.int64)
+            keep = u * u + v * v <= (2 * harmonics * momenta) ** 2
+            keep |= key == (self.harmonics, self.momenta)
             kept = self.chain[keep[self.chain]]
             pattern = self.pattern
             rows = _entry_rows(pattern.indptr)
@@ -311,7 +324,7 @@ class _FixedParts:
             rank[np.argsort(kept)] = np.arange(kept.size)
             tags = pattern.tags[entries[:end]]
             self.blocks[key] = _Block(
-                *_read_only(np.r_[kept, halo], rank, self.row_harmonic[halo] > harmonics, band,
+                *_read_only(np.r_[kept, halo], rank, u[halo] >= v[halo], band,
                             j[band] * (kd + 1) + kd + i[band] - j[band]),
                 columns=part(slice(None), kept.size + halo.size),
                 current=part(np.flatnonzero((tags == 1) | (tags == 2)), kept.size),
@@ -335,11 +348,13 @@ class _Pattern(NamedTuple):
 class _Block(NamedTuple):
     """The entries of one kept block's columns: the block and its halo.
 
-    ``rows`` lists the kept rows ``m <= M``, ``|kappa| <= K`` in chain order
-    (the first ``kept`` of them), then the halo: every other row an entry of
-    a kept column reaches, in basis order.  ``rank`` gives each kept row's
-    place among the kept rows in basis order, and ``crosses`` marks the halo
-    rows past the harmonic cut.  The ladder links a mode only to the next
+    ``rows`` lists the kept rows, ``(m/M)^2 + (|kappa|/K)^2 <= 1`` (every
+    row at the basis caps), in chain order (the first ``kept`` of them),
+    then the halo: every other row an entry of a kept column reaches, in
+    basis order.  ``rank`` gives each kept row's place among the kept rows
+    in basis order, and ``crosses`` marks the halo rows that lie further out
+    in harmonic than in momentum, ``m/M >= |kappa|/K``, the rows a wider
+    ``M`` reaches first.  The ladder links a mode only to the next
     mode of its chain and the ``phi_q`` terms shift the momentum by at most
     1 (or fold it at the ring's top), so the halo is one shell deep, no
     entry joins the two chains, and every kept entry lies within one mode's
@@ -444,15 +459,16 @@ class HamiltonianOperator:
     @property
     def harmonics(self) -> int:
         """Highest ``phi_p`` harmonic of the basis."""
-        return (self.grid.n_p - 1) // 2
+        return self.parts.harmonics
 
     @property
     def momenta(self) -> int:
-        """Smallest momentum cutoff ``|kappa| <= momenta`` that keeps every row."""
-        return (self.grid.n_q_half + 1) // 2
+        """Momentum cap of the basis: the smallest integer at or above every row's ``|kappa|``."""
+        return self.parts.momenta
 
     def block(self, harmonics: int, momenta: int) -> tuple[np.ndarray, sp.csr_matrix, _Block]:
-        """The kept block of the rows with ``m <= harmonics`` and ``|kappa| <= momenta``.
+        """The kept block of the rows with ``(m/harmonics)^2 + (|kappa|/momenta)^2
+        <= 1``, every row when both are at the basis caps.
 
         Returns the block in LAPACK's upper band storage, a Fortran-ordered
         ``(kd + 1, kept)`` array whose entry ``(kd + i - j, j)`` is the

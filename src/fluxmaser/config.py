@@ -282,7 +282,11 @@ def load_config(path: str | None = None) -> RunConfig:
         try:
             raw = yaml.load(handle, Loader=_UniqueKeyLoader)
         except yaml.YAMLError as exc:
-            raise ConfigError(f"cannot parse {path}: {exc}") from exc
+            # one line, as every input error: PyYAML's problem and where it lies
+            problem = (getattr(exc, "problem", None) or str(exc)).splitlines()[0]
+            mark = getattr(exc, "problem_mark", None)
+            where = f", line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+            raise ConfigError(f"cannot parse {path}: {problem}{where}") from exc
     if raw is None:
         return RunConfig()
     if not isinstance(raw, dict):

@@ -17,10 +17,14 @@ is deterministically seeded, so repeated calls give bit-identical results.
 A residual gate rejects unconverged eigenpairs.
 
 The low states use only the first few ``phi_p`` harmonics and ``phi_q``
-momenta, so the solve keeps harmonics ``m <= M`` and momenta
-``|kappa| <= K``: the principal block of those rows of the operator's
-(mode, momentum) basis.  By Cauchy interlacing the block's levels lie at or
-above the full operator's, so the floor stays a valid shift.  The residual
+momenta.  Their coefficients are estimated as a Gaussian in ``m`` that
+reaches ``COEFF_FLOOR`` at ``M`` times a Gaussian in ``kappa`` that reaches
+it at ``K``, a product at the floor on the ellipse ``(m/M)^2 +
+(|kappa|/K)^2 = 1``, so the solve keeps the rows inside that ellipse: the
+principal block of those rows of the operator's (mode, momentum) basis,
+about three quarters of the rectangle ``m <= M``, ``|kappa| <= K``.  By
+Cauchy interlacing the block's levels lie at or above the full operator's,
+so the floor stays a valid shift.  The residual
 gate reads the full operator's residual of the block eigenvectors padded
 with zeros.  That is the block's own residual plus its coupling to the
 halo, the rows outside the block that its columns reach (Saad, *Numerical
@@ -29,13 +33,16 @@ formed on the layout of ``HamiltonianOperator.block`` and nothing of full
 size is built.  By the Kato-Temple inequality (T. Kato, J. Phys. Soc. Jpn.
 4, 334 (1949)) a residual ``r`` moves a level by at most ``r**2`` over its
 distance to the rest of the spectrum.  A solve whose largest residual
-misses ``TRUNCATION_TARGET`` times the gate bound is repeated with ``M``,
-``K`` or both doubled (``M`` where the miss lies in halo rows past the
-harmonic cut, ``K`` where it lies in the others), up to the full basis.
+misses ``TRUNCATION_TARGET`` times the gate bound is repeated with ``M`` or
+``K`` doubled, up to the full basis, which the cut at both basis caps keeps
+whole.  Each halo row belongs to the axis of its larger normalised
+coordinate, ``m/M`` or ``|kappa|/K``, and the axis whose rows carry the
+larger miss is widened; an axis at its cap hands its turn to the other, so
+every widening keeps more rows.
 The gate's scale is the operator's infinity norm in the position basis,
 ``HamiltonianOperator.scale``, since that norm is not basis-invariant.
-``EigenSpectrum.harmonics`` and ``EigenSpectrum.momenta`` report the ``M``
-and ``K`` kept.  A state is held over the block's rows only, every other
+``EigenSpectrum.harmonics`` and ``EigenSpectrum.momenta`` report the cut
+``(M, K)`` kept.  A state is held over the block's rows only, every other
 coefficient being zero, so elements are read on the block with its
 ``current`` and ``dh_dfs``.
 """
@@ -81,9 +88,10 @@ class EigenSpectrum:
     rotation.  ``method`` names the solver route, always ``"lanczos"``;
     ``shift`` is the shift-invert point, below ``levels[0]``, and ``solves``
     counts the factorised solves the Lanczos iterations asked for.
-    ``harmonics`` is the highest ``phi_p`` harmonic the accepted solve kept
-    (``(n_p - 1)//2`` for the full basis), and ``momenta`` the highest
-    ``phi_q`` momentum ``|kappa|`` (``(n_q_half + 1)//2`` for the full basis).
+    ``harmonics`` and ``momenta`` are the semi-axes ``M`` and ``K`` of the
+    accepted solve's elliptic cut ``(m/M)^2 + (|kappa|/K)^2 <= 1`` in ``phi_p``
+    harmonic and ``phi_q`` momentum; ``(n_p - 1)//2`` and ``(n_q_half +
+    1)//2``, the basis caps, for the full basis.
     """
 
     params: CircuitParams
@@ -247,10 +255,10 @@ def lowest_eigenpairs(
     scale = op.scale
     bound = _residual_bound(scale)
     target = TRUNCATION_TARGET * bound
-    full = (op.harmonics, op.momenta)
-    # never below 2, so that the block keeps more than 2 MAX_K + 1 rows
-    harmonics = min(max(_start_harmonics(op.params), 2), op.harmonics)
-    momenta = min(max(_start_momenta(op.params, op.grid), 2), op.momenta)
+    # never below 3, so that the block keeps more than 2 MAX_K + 1 rows: the
+    # ellipse of (3, 3) keeps 29 (even sector) or 26 (odd), that of (2, 2) 15 or 10
+    harmonics = min(max(_start_harmonics(op.params), 3), op.harmonics)
+    momenta = min(max(_start_momenta(op.params, op.grid), 3), op.momenta)
     solves = 0
     while True:
         band, columns, layout = op.block(harmonics, momenta)
@@ -259,18 +267,20 @@ def lowest_eigenpairs(
         solves += used
         misfit = _misfit(columns, n, vals, vecs)
         residuals = _column_norms(misfit)
-        if residuals.max() <= target or (harmonics, momenta) == full:
+        if residuals.max() <= target or n == op.dimension:
             break
-        # widen the cut whose halo rows carry the miss, both if neither does
+        # widen the axis whose halo rows carry the larger miss; an axis at its
+        # cap hands its turn to the other, and a widening that keeps no more
+        # rows than the solve it follows is widened again
         halo = misfit[n:]
         miss_m, miss_k = (
-            _column_norms(halo[rows]).max() > target / math.sqrt(2.0)
-            for rows in (layout.crosses, ~layout.crosses)
+            _column_norms(halo[rows]).max() for rows in (layout.crosses, ~layout.crosses)
         )
-        if miss_m or not miss_k:
-            harmonics = min(2 * harmonics, op.harmonics)
-        if miss_k or not miss_m:
-            momenta = min(2 * momenta, op.momenta)
+        while op.parts.block(harmonics, momenta).kept == n:
+            if momenta == op.momenta or (miss_m >= miss_k and harmonics < op.harmonics):
+                harmonics = min(2 * harmonics, op.harmonics)
+            else:
+                momenta = min(2 * momenta, op.momenta)
     worst = residuals.max()
     if not worst <= bound:  # written so that a NaN residual fails
         raise ConvergenceError(
@@ -282,7 +292,11 @@ def lowest_eigenpairs(
     for group in _degenerate_groups(vals):
         if len(group) > 1:
             block = -states[group] @ (current @ states[group].T)
-            _, rot = scipy.linalg.eigh(0.5 * (block + block.T))
+            try:
+                _, rot = scipy.linalg.eigh(0.5 * (block + block.T))
+            except np.linalg.LinAlgError as exc:
+                # a ValueError, which a sweep would report as bad input
+                raise ConvergenceError(f"cluster rotation failed: {exc}") from exc
             states[group] = rot.T @ states[group]
     for state in states:
         if state[np.argmax(np.abs(state))] < 0:

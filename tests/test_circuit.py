@@ -167,17 +167,23 @@ def _band_to_dense(band):
     return upper + np.triu(upper, 1).T
 
 
-@pytest.mark.parametrize("cut", ["truncated", "full"])
+@pytest.mark.parametrize("cut", ["truncated", "harmonic-cap", "full"])
 @pytest.mark.parametrize("sector", ["even", "odd"])
 @pytest.mark.parametrize("shape", [(16, 32), (17, 34)], ids=["16x32", "17x34"])
 def test_block_is_a_band_in_chain_order(shape, sector, cut):
     grid = PhaseGrid(*shape)
     op = assemble_hamiltonian(CircuitParams(f=0.47, f_s=0.22), grid, sector=sector)
-    harmonics, momenta = (4, 3) if cut == "truncated" else (op.harmonics, op.momenta)
+    harmonics, momenta = {
+        "truncated": (4, 3), "harmonic-cap": (op.harmonics, 3), "full": (op.harmonics, op.momenta)
+    }[cut]
     band, columns, layout = op.block(harmonics, momenta)
     rows = layout.rows[: layout.kept]
-    keep = (op.parts.row_harmonic <= harmonics) & (op.parts.row_momentum <= momenta)
+    # the ellipse (m/M)^2 + (|kappa|/K)^2 <= 1, and every row at both caps; no
+    # row lies within 1e-9 outside an ellipse of these integer semi-axes
+    radius = np.hypot(op.parts.row_harmonic / harmonics, op.parts.row_momentum / momenta)
+    keep = (radius <= 1.0 + 1e-9) | (cut == "full")
     assert np.array_equal(np.sort(rows), np.flatnonzero(keep))
+    assert (rows.size == op.dimension) == (cut == "full")
     assert np.array_equal(np.sort(rows)[layout.rank], rows)
     # the CSR block is built here only, to check the band and the layout's
     # columns against it

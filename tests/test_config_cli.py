@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import fluxmaser
-from fluxmaser import CircuitParams, PhaseGrid, cli, point_record
+from fluxmaser import CircuitParams, PhaseGrid, cli, point_record, spectrum
 from fluxmaser.cli import BLAS_THREAD_ENV, _fmt, _parallel_map, main
 from fluxmaser.config import config_digest, load_config
 from fluxmaser.errors import ConfigError, ConvergenceError
@@ -114,7 +114,8 @@ def test_unknown_keys_rejected(tmp_path):
         ("sweep: {k: 5}\nsweep: {f_points: 3}\n", r"^sweep: duplicate key"),
         # an alias into its own anchor ends the key walk rather than recursing
         ("sweep: &a [*a]\n", r"^section 'sweep' must be a mapping"),
-        ("circuit: [1,\n", r"^cannot parse \S*cfg\.yaml: while parsing"),
+        ("circuit: [1,\n", r"^cannot parse \S*cfg\.yaml: expected the node content, but found "
+                            r"'<stream end>', line 2, column 1$"),
         ("- circuit\n- sweep\n", r"^top level of \S*cfg\.yaml must be a mapping"),
     ],
     ids=["nested-key", "top-level-block", "self-alias", "unparsable", "not-a-mapping"],
@@ -128,8 +129,9 @@ def test_duplicate_keys_exit_one(text, message, tmp_path, capsys):
         load_config(cfg)
     assert main(["fig2", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert re.search(message.lstrip("^"), err)
+    assert re.search(message.lstrip("^"), err, re.M)
     assert err.startswith("error: ") and err.count("error:") == 1 and "Traceback" not in err
+    assert len(err.splitlines()) == 1
     assert not list(tmp_path.rglob("*.csv"))
 
 
@@ -636,6 +638,25 @@ def test_arpack_failure_is_logged_and_exits_two(tiny_config, tmp_path, capsys, m
     assert log == [
         f"f={f:.6g} f_s=0.27: ConvergenceError: ARPACK error -1: No convergence"
         for f in (0.48, 0.49, 0.5)
+    ]
+
+
+def test_cluster_rotation_failure_is_logged_and_exits_two(tiny_config, tmp_path, capsys,
+                                                          monkeypatch):
+    # numpy's LinAlgError is a ValueError, which the command line reads as bad
+    # input; f = 0.5 at f_s = 0 is the one point with near-degenerate levels
+    def unconverged(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigenvalue algorithm did not converge")
+
+    monkeypatch.setattr(spectrum.scipy.linalg, "eigh", unconverged)
+    tiny_config.write_text(TINY_CONFIG.replace("f_s_values: [0.27]", "f_s_values: [0.0]"))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(tiny_config), "--out", str(out), "--workers", "1"]) == 2
+    assert "1/3 sweep points failed" in capsys.readouterr().err
+    log = (out / "sweep_fs_0_failures.log").read_text().splitlines()
+    assert log == [
+        "f=0.5 f_s=0: ConvergenceError: cluster rotation failed: "
+        "eigenvalue algorithm did not converge"
     ]
 
 

@@ -1,6 +1,7 @@
 """Eigensolver contracts: ordering, orthonormality, determinism, sweeps."""
 
 import dataclasses
+import itertools
 import pickle
 import time
 
@@ -315,14 +316,65 @@ def test_halo_residual_is_the_full_operator_residual(shape, sector, cut):
         assert layout.rows.size == layout.kept == op.dimension
         return
     assert layout.rows.size > layout.kept
-    # the widening rule's split of the halo against the full-length masks
-    dropped_m = op.parts.row_harmonic > harmonics
-    dropped_k = ~dropped_m & (op.parts.row_momentum > momenta)
+    # the widening rule's split of the halo against the full-length masks: a
+    # dropped row goes to the axis of its larger normalised coordinate
+    u, v = op.parts.row_harmonic / harmonics, op.parts.row_momentum / momenta
+    dropped = np.hypot(u, v) > 1.0 + 1e-9
+    dropped_m, dropped_k = dropped & (u >= v), dropped & (u < v)
     halo = misfit[layout.kept :]
     for rows, mask in ((layout.crosses, dropped_m), (~layout.crosses, dropped_k)):
         assert np.any(rows)
         assert np.allclose(spectrum._column_norms(halo[rows]),
                            spectrum._column_norms(reference[mask]), rtol=1e-14, atol=0.0)
+
+
+def _recorded_cuts(monkeypatch):
+    """The rows kept by each block a solve asks for, in order, as a list that
+    every later :meth:`HamiltonianOperator.block` call appends to."""
+    kept, block = [], circuit.HamiltonianOperator.block
+
+    def recording(op, harmonics, momenta):
+        band, columns, layout = block(op, harmonics, momenta)
+        kept.append(layout.kept)
+        return band, columns, layout
+
+    monkeypatch.setattr(circuit.HamiltonianOperator, "block", recording)
+    return kept
+
+
+def test_every_circuit_of_the_scan_solves_certified(monkeypatch):
+    # E_J/E_c x gamma x f_s x f on both grids, the deep and soft wells and the
+    # f_s = 0.5 points where the momentum start falls short among them.  Each
+    # point ends certified or on the whole basis, and every widening keeps
+    # more rows than the solve before it; a loop that widened a cut at its cap
+    # never ended at E_J/E_c = 10, gamma = 0.3, f_s = 0.5, f = 0.45 on 41x81
+    kept = _recorded_cuts(monkeypatch)
+    for grid, ej_over_ec, gamma, f_s, f in itertools.product(
+        (COARSE, PRODUCTION), (10.0, 30.0, 100.0, 1000.0), (0.3, 0.5, 1.0), (0.0, 0.27, 0.5),
+        (0.45, 0.5),
+    ):
+        op = assemble_hamiltonian(CircuitParams(gamma, ej_over_ec, f, f_s), grid)
+        kept.clear()
+        spec = lowest_eigenpairs(op, 6)
+        point = (grid, ej_over_ec, gamma, f_s, f)
+        target = spectrum.TRUNCATION_TARGET * _gate_bound(op)
+        assert spec.residuals.max() <= target or spec.rows.size == op.dimension, point
+        assert np.all(np.diff(kept) > 0) and kept[-1] == spec.rows.size, point
+
+
+@pytest.mark.parametrize("sector", ["even", "odd"])
+def test_smallest_cut_solves_the_most_levels(sector, monkeypatch):
+    # a start below the floor solves first at the floor's cut, which must keep
+    # more than 2 MAX_K + 1 rows, the Lanczos basis ARPACK builds for MAX_K levels
+    op = assemble_hamiltonian(CircuitParams(f=0.493, f_s=0.27), COARSE, sector=sector)
+    default = lowest_eigenpairs(op, spectrum.MAX_K)
+    monkeypatch.setattr(spectrum, "_start_harmonics", lambda params: 0)
+    monkeypatch.setattr(spectrum, "_start_momenta", lambda params, grid: 0)
+    kept = _recorded_cuts(monkeypatch)
+    floor = lowest_eigenpairs(op, spectrum.MAX_K)
+    assert kept[0] > 2 * spectrum.MAX_K + 1
+    assert floor.residuals.max() <= spectrum.TRUNCATION_TARGET * _gate_bound(op)
+    assert np.max(np.abs(floor.levels - default.levels)) < 1e-12
 
 
 def test_a_point_builds_nothing_of_full_size(monkeypatch):
