@@ -309,26 +309,18 @@ class _FixedParts:
             # by layout row, stably, so each row keeps the pattern's column order
             entries = entries[np.argsort(position[rows[entries]], kind="stable")]
             i, j = position[rows[entries]], position[pattern.cols[entries]]
-
-            def part(select, n_rows):
-                # the selected entries, on the layout's rows and kept columns
-                return _Pattern(*_read_only(
-                    j[select].astype(np.int32), _indptr(i[select], n_rows),
-                    pattern.values[entries[select]], pattern.tags[entries[select]],
-                ))
-
             end = np.searchsorted(i, kept.size)  # the kept rows' entries come first
             band = np.flatnonzero(i[:end] <= j[:end])
             kd = int(np.max(j[band] - i[band]))
             rank = np.zeros(kept.size, dtype=np.intp)
             rank[np.argsort(kept)] = np.arange(kept.size)
-            tags = pattern.tags[entries[:end]]
             self.blocks[key] = _Block(
-                *_read_only(np.r_[kept, halo], rank, u[halo] >= v[halo], band,
+                *_read_only(np.r_[kept, halo], rank, band,
                             j[band] * (kd + 1) + kd + i[band] - j[band]),
-                columns=part(slice(None), kept.size + halo.size),
-                current=part(np.flatnonzero((tags == 1) | (tags == 2)), kept.size),
-                dh_dfs=part(np.flatnonzero(tags == 3), kept.size),
+                columns=_Pattern(*_read_only(
+                    j.astype(np.int32), _indptr(i, kept.size + halo.size),
+                    pattern.values[entries], pattern.tags[entries],
+                )),
                 kept=kept.size,
                 kd=kd,
             )
@@ -352,29 +344,24 @@ class _Block(NamedTuple):
     row at the basis caps), in chain order (the first ``kept`` of them),
     then the halo: every other row an entry of a kept column reaches, in
     basis order.  ``rank`` gives each kept row's place among the kept rows
-    in basis order, and ``crosses`` marks the halo rows that lie further out
-    in harmonic than in momentum, ``m/M >= |kappa|/K``, the rows a wider
-    ``M`` reaches first.  The ladder links a mode only to the next
-    mode of its chain and the ``phi_q`` terms shift the momentum by at most
-    1 (or fold it at the ring's top), so the halo is one shell deep, no
-    entry joins the two chains, and every kept entry lies within one mode's
-    rows plus 2 of the diagonal.  ``columns`` holds those entries over
-    ``rows``, ``current`` the kept rows' entries of ``C`` and ``S`` and
-    ``dh_dfs`` those of ``cos(theta)``; each counts columns among the kept
-    rows and keeps the full pattern's column order within a row.  ``band``
-    picks the entries of ``columns`` on or above the kept block's diagonal,
-    and ``slots`` gives each one's slot in the row-major ``(kept, kd + 1)``
-    array whose transpose is LAPACK's upper band storage.
+    in basis order.  The ladder links a mode only to the next mode of its
+    chain and the ``phi_q`` terms shift the momentum by at most 1 (or fold
+    it at the ring's top), so the halo is one shell deep, no entry joins the
+    two chains, and every kept entry lies within one mode's rows plus 2 of
+    the diagonal.  ``columns`` holds those entries of every part over
+    ``rows``, the kept rows' first; it counts columns among the kept rows
+    and keeps the full pattern's column order within a row.  It is the one
+    entry list that ``H``, the loop current and ``dH/df_s`` weight.
+    ``band`` picks the entries of ``columns`` on or above the kept block's
+    diagonal, and ``slots`` gives each one's slot in the row-major ``(kept,
+    kd + 1)`` array whose transpose is LAPACK's upper band storage.
     """
 
     rows: np.ndarray
     rank: np.ndarray
-    crosses: np.ndarray
     band: np.ndarray
     slots: np.ndarray
     columns: _Pattern
-    current: _Pattern
-    dh_dfs: _Pattern
     kept: int
     kd: int
 
@@ -474,7 +461,8 @@ class HamiltonianOperator:
         ``(kd + 1, kept)`` array whose entry ``(kd + i - j, j)`` is the
         block's ``(i, j)``; ``H`` on the block's columns, over the rows of
         the layout (the kept rows, then their halo); and the layout
-        (:class:`_Block`).  The kept rows run in chain order: the cosine
+        (:class:`_Block`), whose one entry list :meth:`elements` weights
+        too.  The kept rows run in chain order: the cosine
         chain of ``phi_p`` modes (the constant mode, then ``cos(m phi_p)``),
         then the sine chain, mode by mode with momentum fastest.
         """
@@ -487,12 +475,17 @@ class HamiltonianOperator:
         return band.reshape(layout.kept, layout.kd + 1).T, columns, layout
 
     def elements(self, layout: _Block) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-        """``current`` and ``dh_dfs`` on the kept block of ``layout``, in its row order."""
+        """``current`` and ``dh_dfs`` on the kept block of ``layout``, in its row order.
+
+        Both weight the kept rows' entries of ``layout.columns``, every
+        part's, so a part that a weight leaves out stays as zeros.
+        """
+        n, entries = layout.kept, layout.columns
+        end = entries.indptr[n]
+        kept = _Pattern(entries.cols[:end], entries.indptr[: n + 1], entries.values[:end],
+                        entries.tags[:end])
         weights = _part_weights(self.params)
-        return (
-            _weighted(layout.current, weights[1], layout.kept),
-            _weighted(layout.dh_dfs, weights[2], layout.kept),
-        )
+        return _weighted(kept, weights[1], n), _weighted(kept, weights[2], n)
 
 
 def assemble_hamiltonian(

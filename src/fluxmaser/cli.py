@@ -23,8 +23,8 @@ import math
 import os
 import sys
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from contextlib import contextmanager
-from dataclasses import replace
+from contextlib import contextmanager, suppress
+from dataclasses import fields, replace
 from functools import partial
 from itertools import islice
 from multiprocessing import get_context
@@ -270,11 +270,14 @@ def cmd_spectral(command: str, cfg: RunConfig, out_dir: str, workers: int) -> in
             ])
         comments = _base_comments(cfg, units) + extra_comments
         _write_csv(os.path.join(out_dir, f"{stem}.csv"), comments, header, rows)
+        log_path = os.path.join(out_dir, f"{stem}_failures.log")
         if failures:
-            log_path = os.path.join(out_dir, f"{stem}_failures.log")
             with open(log_path, "w", encoding="utf-8", newline="\n") as handle:
                 handle.write("\n".join(failures) + "\n")
             print(f"warning: {len(failures)} point(s) failed; see {log_path}", file=sys.stderr)
+        else:
+            with suppress(FileNotFoundError):  # a log of an earlier run is stale
+                os.remove(log_path)
         failed += len(failures)
     if failed > MAX_FAILURE_FRACTION * len(tasks):
         print(
@@ -337,7 +340,7 @@ def cmd_evolve(cfg: RunConfig, out_dir: str) -> int:
     return 0
 
 
-def cmd_estimate_device(cfg: RunConfig, out_dir: str | None) -> int:
+def cmd_estimate_device(cfg: RunConfig, out_dir: str) -> int:
     cav = cfg.cavity
     report = device_report(
         gap_over_ej=cav.gap_over_ej,
@@ -351,29 +354,13 @@ def cmd_estimate_device(cfg: RunConfig, out_dir: str | None) -> int:
         interaction_phase=cav.interaction_phase_over_pi * math.pi,
     )
     print(format_device_report(report))
-    if out_dir is not None:
-        digits = cfg.output.digits
-        fields = [
-            ("nu_ghz", report.nu_ghz),
-            ("wavelength_m", report.wavelength_m),
-            ("phi_w0_over_phi0", report.phi_ratio),
-            ("g_rad_s", report.g_rad_s),
-            ("g_mhz", report.g_mhz),
-            ("tau_interaction_ns", report.tau_interaction_ns),
-            ("tau_photon_s", report.tau_photon_s),
-            ("i_c_amp", report.i_c),
-            ("l_j_henry", report.l_j),
-            ("l_loop_henry", report.l_loop),
-            ("beta_l", report.beta_l),
-            ("sigma_z_over_ej", report.sigma_z_over_ej),
-            ("sigma_z_over_gap", report.sigma_z_over_gap),
-        ]
-        _write_csv(
-            os.path.join(out_dir, "device_report.csv"),
-            _base_comments(cfg, "SI units unless suffixed"),
-            [name for name, _ in fields],
-            [[_fmt(value, digits) for _, value in fields]],
-        )
+    columns = fields(report)
+    _write_csv(
+        os.path.join(out_dir, "device_report.csv"),
+        _base_comments(cfg, "SI units unless suffixed"),
+        [column.metadata.get("csv", column.name) for column in columns],
+        [[_fmt(getattr(report, column.name), cfg.output.digits) for column in columns]],
+    )
     return 0
 
 
@@ -431,9 +418,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_fig4(cfg, out_dir)
         if args.command == "evolve":
             return cmd_evolve(cfg, out_dir)
-        if args.command == "estimate-device":
-            return cmd_estimate_device(cfg, out_dir)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_estimate_device(cfg, out_dir)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -10,7 +10,7 @@ MHz), the photon lifetime is ``Q/(2 pi nu)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = [
     "CavityParams",
@@ -50,16 +50,19 @@ class CavityParams:
 
 @dataclass(frozen=True)
 class DeviceReport:
+    """``device_report.csv`` has one column per field, in this order, named
+    by the field's ``csv`` metadata or else by the field."""
+
     nu_ghz: float
     wavelength_m: float
-    phi_ratio: float
+    phi_ratio: float = field(metadata={"csv": "phi_w0_over_phi0"})
     g_rad_s: float
     g_mhz: float
     tau_interaction_ns: float
     tau_photon_s: float
-    i_c: float
-    l_j: float
-    l_loop: float
+    i_c: float = field(metadata={"csv": "i_c_amp"})
+    l_j: float = field(metadata={"csv": "l_j_henry"})
+    l_loop: float = field(metadata={"csv": "l_loop_henry"})
     beta_l: float
     sigma_z_over_ej: float
     sigma_z_over_gap: float

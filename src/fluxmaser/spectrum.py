@@ -35,7 +35,8 @@ size is built.  By the Kato-Temple inequality (T. Kato, J. Phys. Soc. Jpn.
 distance to the rest of the spectrum.  A solve whose largest residual
 misses ``TRUNCATION_TARGET`` times the gate bound is repeated with ``M`` or
 ``K`` doubled, up to the full basis, which the cut at both basis caps keeps
-whole.  Each halo row belongs to the axis of its larger normalised
+whole.  The split of the miss is made here, on the halo rows of the
+block's layout: each belongs to the axis of its larger normalised
 coordinate, ``m/M`` or ``|kappa|/K``, and the axis whose rows carry the
 larger miss is widened; an axis at its cap hands its turn to the other, so
 every widening keeps more rows.
@@ -43,8 +44,9 @@ The gate's scale is the operator's infinity norm in the position basis,
 ``HamiltonianOperator.scale``, since that norm is not basis-invariant.
 ``EigenSpectrum.harmonics`` and ``EigenSpectrum.momenta`` report the cut
 ``(M, K)`` kept.  A state is held over the block's rows only, every other
-coefficient being zero, so elements are read on the block with its
-``current`` and ``dh_dfs``.
+coefficient being zero, so elements are read on the block, with the loop
+current and ``dH/df_s`` weighted from the same entries of the layout as
+``H``.
 """
 
 from __future__ import annotations
@@ -188,6 +190,14 @@ def _misfit(columns: sp.csr_matrix, n: int, vals: np.ndarray, vecs: np.ndarray) 
     return misfit
 
 
+def _harmonic_rows(op: HamiltonianOperator, rows: np.ndarray, harmonics: int,
+                   momenta: int) -> np.ndarray:
+    """Which of ``rows`` lie at least as far out in harmonic as in momentum,
+    ``m/M >= |kappa|/K``: the halo rows of the cut ``(M, K)`` that a wider
+    ``M`` reaches first."""
+    return op.parts.row_harmonic[rows] * momenta >= op.parts.row_momentum[rows] * harmonics
+
+
 def _solve_block(
     op: HamiltonianOperator, band: np.ndarray, rank: np.ndarray, k: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -272,10 +282,8 @@ def lowest_eigenpairs(
         # widen the axis whose halo rows carry the larger miss; an axis at its
         # cap hands its turn to the other, and a widening that keeps no more
         # rows than the solve it follows is widened again
-        halo = misfit[n:]
-        miss_m, miss_k = (
-            _column_norms(halo[rows]).max() for rows in (layout.crosses, ~layout.crosses)
-        )
+        by_m = _harmonic_rows(op, layout.rows[n:], harmonics, momenta)
+        miss_m, miss_k = (_column_norms(misfit[n:][rows]).max() for rows in (by_m, ~by_m))
         while op.parts.block(harmonics, momenta).kept == n:
             if momenta == op.momenta or (miss_m >= miss_k and harmonics < op.harmonics):
                 harmonics = min(2 * harmonics, op.harmonics)

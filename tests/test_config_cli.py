@@ -1,6 +1,7 @@
 """Run configuration parsing and the batch CLI."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -19,6 +20,7 @@ import fluxmaser
 from fluxmaser import CircuitParams, PhaseGrid, cli, point_record, spectrum
 from fluxmaser.cli import BLAS_THREAD_ENV, _fmt, _parallel_map, main
 from fluxmaser.config import config_digest, load_config
+from fluxmaser.device import device_report
 from fluxmaser.errors import ConfigError, ConvergenceError
 
 from .conftest import arpack_no_convergence, nan_eigenvector
@@ -500,6 +502,19 @@ def test_estimate_device_prints_and_writes(tmp_path, capsys):
     assert (out / "device_report.csv").exists()
 
 
+def test_device_report_csv_columns(tmp_path):
+    out = tmp_path / "out"
+    assert main(["estimate-device", "--out", str(out)]) == 0
+    _, header, body = read_rows(out / "device_report.csv")
+    assert header == (
+        "nu_ghz,wavelength_m,phi_w0_over_phi0,g_rad_s,g_mhz,tau_interaction_ns,tau_photon_s,"
+        "i_c_amp,l_j_henry,l_loop_henry,beta_l,sigma_z_over_ej,sigma_z_over_gap"
+    ).split(",")
+    report = device_report()  # the default config's cavity block is the library default
+    assert body == [[_fmt(value, load_config(None).output.digits)
+                     for value in dataclasses.astuple(report)]]
+
+
 def test_sweep_covers_all_screening_values(tmp_path):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(
@@ -627,6 +642,17 @@ def test_nan_residual_point_is_logged_not_written(tiny_config, tmp_path, capsys,
     _, _, rows = read_rows(out / "sweep_fs_0.27.csv")
     assert [row[0] for row in rows] == ["0.48", "0.5"]
     assert "nan" not in (out / "sweep_fs_0.27.csv").read_text()
+
+
+def test_clean_rerun_removes_the_stale_failures_log(tiny_config, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    with monkeypatch.context() as patch:
+        nan_eigenvector(patch)
+        assert main(["sweep", "--config", str(tiny_config), "--out", str(out),
+                     "--workers", "1"]) == 2
+    assert (out / "sweep_fs_0.27_failures.log").exists()
+    assert main(["sweep", "--config", str(tiny_config), "--out", str(out), "--workers", "1"]) == 0
+    assert sorted(os.listdir(out)) == ["sweep_fs_0.27.csv"]
 
 
 def test_arpack_failure_is_logged_and_exits_two(tiny_config, tmp_path, capsys, monkeypatch):

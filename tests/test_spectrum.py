@@ -316,13 +316,15 @@ def test_halo_residual_is_the_full_operator_residual(shape, sector, cut):
         assert layout.rows.size == layout.kept == op.dimension
         return
     assert layout.rows.size > layout.kept
-    # the widening rule's split of the halo against the full-length masks: a
-    # dropped row goes to the axis of its larger normalised coordinate
+    # the split of the halo lowest_eigenpairs widens by, against the
+    # full-length masks: a dropped row goes to the axis of its larger
+    # normalised coordinate
     u, v = op.parts.row_harmonic / harmonics, op.parts.row_momentum / momenta
     dropped = np.hypot(u, v) > 1.0 + 1e-9
     dropped_m, dropped_k = dropped & (u >= v), dropped & (u < v)
     halo = misfit[layout.kept :]
-    for rows, mask in ((layout.crosses, dropped_m), (~layout.crosses, dropped_k)):
+    by_m = spectrum._harmonic_rows(op, layout.rows[layout.kept :], harmonics, momenta)
+    for rows, mask in ((by_m, dropped_m), (~by_m, dropped_k)):
         assert np.any(rows)
         assert np.allclose(spectrum._column_norms(halo[rows]),
                            spectrum._column_norms(reference[mask]), rtol=1e-14, atol=0.0)
